@@ -36,6 +36,15 @@ class ZeroNormRow(ValueError):
     pass
 
 
+class NonFinite(ArithmeticError):
+    pass
+
+
+def check_finite(data: np.ndarray, what: str) -> None:
+    if not np.isfinite(data).all():
+        raise NonFinite(f"{what} contains a non-finite value")
+
+
 class Tensor:
     """A float64 matrix, optionally recorded on a tape."""
 
@@ -99,12 +108,10 @@ class Tape:
         self._ops: list[_Node] = []
         self._next_slot = 0
         self._grads: dict[int, np.ndarray] | None = None
-        self._leaf_shapes: dict[int, tuple[int, int]] = {}
 
     def watch(self, data) -> Tensor:
         """Register a leaf (parameter or input) on this tape."""
         t = Tensor(data, tape=self, slot=self._next_slot)
-        self._leaf_shapes[t.slot] = t.shape
         self._next_slot += 1
         return t
 
@@ -299,6 +306,15 @@ def scatter_add_rows(x, rows, num_rows: int) -> Tensor:
     return _apply(_tape_of(x), out, (x,), backward)
 
 
+def transpose(x) -> Tensor:
+    x = _as_tensor(x)
+
+    def backward(g):
+        return (g.T,)
+
+    return _apply(_tape_of(x), x.data.T, (x,), backward)
+
+
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     out = np.maximum(x.data, 0.0)
@@ -346,27 +362,6 @@ def l2_normalize_rows(x) -> Tensor:
     return _apply(_tape_of(x), out, (x,), backward)
 
 
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    out = np.exp(x.data)
-
-    def backward(g):
-        return (g * out,)
-
-    return _apply(_tape_of(x), out, (x,), backward)
-
-
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    out = np.log(x.data)
-    x_data = x.data
-
-    def backward(g):
-        return (g / x_data,)
-
-    return _apply(_tape_of(x), out, (x,), backward)
-
-
 def cosine_sim(a, b) -> Tensor:
     """Pairwise cosine similarities: out[i, j] = cos(a_i, b_j).
 
@@ -376,6 +371,144 @@ def cosine_sim(a, b) -> Tensor:
     if a.shape[1] != b.shape[1]:
         raise ShapeMismatch(f"cosine_sim: {a.shape} vs {b.shape}")
     return matmul(l2_normalize_rows(a), l2_normalize_rows(b), transpose_b=True)
+
+
+# --- fused contrastive cross-entropy -----------------------------------------
+#
+# Both kernels take square similarity blocks with the positives on the
+# diagonal and a boolean mask of each anchor's negatives. Anchor i
+# contributes
+#     -s_ii / tau + logsumexp_{j in mask_i} s_ij / tau
+# (the positive joins the log-sum-exp when `inclusive`); anchors without
+# negatives are dropped. The gradient on the kept anchors is
+# (softmax over the masked row - onehot(i)) / tau. It is recomputed from
+# the similarities in backward, so no n x n intermediate outlives forward.
+
+def _masked_logits(s: np.ndarray, neg_mask: np.ndarray, tau: float,
+                   inclusive: bool) -> np.ndarray:
+    """s / tau where an anchor's log-sum-exp reads it, -inf elsewhere."""
+    x = np.where(neg_mask, s, -np.inf)
+    if inclusive:
+        d = np.arange(s.shape[-1])
+        x[..., d, d] = s[..., d, d]
+    x *= 1.0 / tau
+    return x
+
+
+def _xent(s: np.ndarray, neg_mask: np.ndarray, tau: float, inclusive: bool,
+          axis: int = -1):
+    """Forward pass over square blocks on the last two axes of `s`, with
+    anchors along the other one of those axes and candidates along `axis`.
+
+    Returns (sum of the kept anchor terms, number of kept anchors, a
+    function mapping the scalar upstream gradient to the gradient on `s`),
+    or (None, 0, None) when no anchor has a negative.
+    """
+    keep = neg_mask.any(axis=axis, keepdims=True)
+    k = int(np.count_nonzero(keep))
+    if k == 0:
+        return None, 0, None
+    x = _masked_logits(s, neg_mask, tau, inclusive)
+    shift = x.max(axis=axis, keepdims=True)
+    shift[np.isneginf(shift)] = 0.0  # anchors with nothing to sum
+    x -= shift
+    np.exp(x, out=x)
+    # dropped anchors get +inf, so their softmax in backward is exactly 0
+    lse = np.log(x.sum(axis=axis, keepdims=True), out=np.full(keep.shape, np.inf),
+                 where=keep)
+    lse += shift
+    del x
+    d = np.arange(s.shape[-1])
+    keep_d = np.squeeze(keep, axis)
+    total = float((np.squeeze(lse, axis) - s[..., d, d] * (1.0 / tau))[keep_d].sum())
+
+    def grad(g: float) -> np.ndarray:
+        p = _masked_logits(s, neg_mask, tau, inclusive)
+        p -= lse
+        np.exp(p, out=p)
+        p[..., d, d] -= keep_d
+        p *= g / tau
+        return p
+
+    return total, k, grad
+
+
+def masked_xent(sims, neg_mask: np.ndarray, tau: float,
+                inclusive: bool = False) -> tuple[Tensor | None, int]:
+    """Summed contrastive cross-entropy of a square similarity matrix.
+
+    Row i anchors with positive sims[i, i] and negatives where
+    neg_mask[i] is set. Returns (sum over the kept anchors as a 1 x 1
+    tensor, number of kept anchors), or (None, 0) when no row has a
+    negative. One tape node.
+    """
+    sims = _as_tensor(sims)
+    n = sims.shape[0]
+    if sims.shape != (n, n) or neg_mask.shape != (n, n):
+        raise ShapeMismatch(f"masked_xent: square sims and mask needed, "
+                            f"got {sims.shape} and {neg_mask.shape}")
+    s = sims.data
+    transposed = s.flags.f_contiguous and not s.flags.c_contiguous
+    if transposed:
+        # the transpose of a row-major matrix (the reverse loss direction):
+        # reduce down the columns of the row-major array, which reads it in
+        # memory order and yields a gradient whose transpose is row-major
+        total, k, grad = _xent(s.T, np.ascontiguousarray(neg_mask.T), tau, inclusive, axis=0)
+    else:
+        total, k, grad = _xent(s, neg_mask, tau, inclusive)
+    if total is None:
+        return None, 0
+
+    def backward(g):
+        gs = grad(float(g[0, 0]))
+        return (gs.T if transposed else gs,)
+
+    return _apply(_tape_of(sims), np.array([[total]]), (sims,), backward), k
+
+
+def block_xent(a, b, offsets: np.ndarray, tau: float,
+               inclusive: bool = False) -> tuple[Tensor | None, int]:
+    """masked_xent of a @ b.T restricted to the diagonal blocks that
+    `offsets` cuts out, without forming the off-block entries.
+
+    Rows offsets[g]:offsets[g + 1] of `a` and `b` form block g; rows are
+    expected to be L2-normalised, so the products are cosine similarities.
+    Each row of `a` anchors against the rows of `b` in its own block. The
+    rows are padded into a (blocks, largest block, d) stack and one batched
+    matmul gives every block's similarities; padding never enters a sum.
+    Blocks of one row have no negatives and drop out.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"block_xent: {a.shape} vs {b.shape}")
+    offsets = np.asarray(offsets, dtype=np.int64)
+    sizes = np.diff(offsets)
+    if offsets[0] != 0 or offsets[-1] != a.shape[0] or (sizes < 0).any():
+        raise ShapeMismatch(f"block_xent: offsets do not cut {a.shape[0]} rows into blocks")
+    width = int(sizes.max())
+    block = np.repeat(np.arange(sizes.size), sizes)
+    slot = np.arange(a.shape[0]) - offsets[block]
+    a_pad = np.zeros((sizes.size, width, a.shape[1]))
+    b_pad = np.zeros_like(a_pad)
+    a_pad[block, slot] = a.data
+    b_pad[block, slot] = b.data
+    s = a_pad @ b_pad.transpose(0, 2, 1)
+    check_finite(s, "similarity")
+    valid = np.arange(width) < sizes[:, None]
+    neg_mask = valid[:, :, None] & valid[:, None, :]
+    d = np.arange(width)
+    neg_mask[:, d, d] = False
+    total, k, grad = _xent(s, neg_mask, tau, inclusive)
+    if total is None:
+        return None, 0
+
+    def backward(g):
+        gs = grad(float(g[0, 0]))
+        ga = gs @ b_pad
+        gb = gs.transpose(0, 2, 1) @ a_pad
+        return ga[block, slot], gb[block, slot]
+
+    return _apply(_tape_of(a, b), np.array([[total]]), (a, b), backward), k
 
 
 # --- Adam ---------------------------------------------------------------------

@@ -112,6 +112,7 @@ def _primitive_cases(rng: np.random.Generator) -> dict[str, list[Case]]:
     w37 = rng.standard_normal((3, 7))
     w36 = rng.standard_normal((3, 6))
     w31 = rng.standard_normal((3, 1))
+    w43 = rng.standard_normal((4, 3))
     cases: dict[str, list[Case]] = {}
 
     cases["add"] = [
@@ -166,33 +167,55 @@ def _primitive_cases(rng: np.random.Generator) -> dict[str, list[Case]]:
         (lambda t: _scalarize(ad.l2_normalize_rows(t["x"]), w34),
          {"x": mat(3, 4) + 0.1}),
     ]
-    cases["exp"] = [
-        (lambda t: _scalarize(ad.exp(t["x"]), w34), {"x": mat(3, 4)}),
-    ]
-    cases["log"] = [
-        (lambda t: _scalarize(ad.log(t["x"]), w34), {"x": np.abs(mat(3, 4)) + 0.5}),
+    cases["transpose"] = [
+        (lambda t: _scalarize(ad.transpose(t["x"]), w43), {"x": mat(3, 4)}),
     ]
     cases["cosine_sim"] = [
         (lambda t: _scalarize(ad.cosine_sim(t["a"], t["b"]), w33),
          {"a": mat(3, 4) + 0.1, "b": mat(3, 4) - 0.1}),
+    ]
+    # row 2 has no negatives and drops out; the inclusive case still skips it
+    neg_mask = np.array([[False, True, True, False],
+                         [True, False, False, True],
+                         [False, False, False, False],
+                         [True, True, True, False]])
+    # the transposed input takes the column-reducing path
+    cases["masked_xent"] = [
+        (lambda t, inclusive=inclusive, flip=flip: ad.masked_xent(
+            ad.transpose(t["s"]) if flip else t["s"], neg_mask, 0.5, inclusive)[0],
+         {"s": mat(4, 4)})
+        for inclusive in (False, True) for flip in (False, True)
+    ]
+    # a one-row block (drops out) beside blocks of unequal size (padding)
+    block_offsets = np.array([0, 3, 4, 6])
+    cases["block_xent"] = [
+        (lambda t, inclusive=inclusive: ad.block_xent(t["a"], t["b"], block_offsets, 0.5,
+                                                      inclusive)[0],
+         {"a": mat(6, 3), "b": mat(6, 3)})
+        for inclusive in (False, True)
     ]
     return cases
 
 
 def _loss_cases(rng: np.random.Generator) -> dict[str, list[Case]]:
     offsets = np.array([0, 3, 5])
+    ragged = np.array([0, 3, 4, 6])  # a single-edge graph beside unequal ones
+    modes = (False, True)
     return {
         "nt_xent": [
-            (lambda t: nt_xent(t["z1"], t["z2"], 0.1)[0],
-             {"z1": rng.standard_normal((3, 5)), "z2": rng.standard_normal((3, 5))}),
+            (lambda t, inc=inc: nt_xent(t["z1"], t["z2"], 0.1, inc)[0],
+             {"z1": rng.standard_normal((3, 5)), "z2": rng.standard_normal((3, 5))})
+            for inc in modes
         ],
         "intra_local": [
-            (lambda t: intra_local(t["e"], t["l"], offsets, 0.1)[0],
-             {"e": rng.standard_normal((5, 4)), "l": rng.standard_normal((5, 4))}),
+            (lambda t, inc=inc, off=off: intra_local(t["e"], t["l"], off, 0.1, inc)[0],
+             {"e": rng.standard_normal((off[-1], 4)), "l": rng.standard_normal((off[-1], 4))})
+            for off in (offsets, ragged) for inc in modes
         ],
         "inter_local": [
-            (lambda t: inter_local(t["e"], t["l"], offsets, 0.1)[0],
-             {"e": rng.standard_normal((5, 4)), "l": rng.standard_normal((5, 4))}),
+            (lambda t, inc=inc: inter_local(t["e"], t["l"], offsets, 0.1, inc)[0],
+             {"e": rng.standard_normal((5, 4)), "l": rng.standard_normal((5, 4))})
+            for inc in modes
         ],
     }
 

@@ -18,25 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    NonFinite,
     Tensor,
     add,
-    constant,
+    block_xent,
+    check_finite,
     cosine_sim,
-    exp,
-    gather_rows,
-    log,
-    matmul,
-    mul,
-    row_sum,
+    gather_rows,  # noqa: F401  -- perfbench/hooks.py times losses.gather_rows
+    l2_normalize_rows,
+    masked_xent,
     scale,
+    transpose,
 )
 
 
 class BatchTooSmall(ValueError):
-    pass
-
-
-class NonFinite(ArithmeticError):
     pass
 
 
@@ -45,7 +41,6 @@ class LossConfig:
     tau: float = 0.1
     alpha: float = 1.0  # weight of the cross-graph local loss
     beta: float = 1.0   # weight of the within-graph local loss
-    degenerate_single_edge_policy: str = "skip"
     inclusive_denominator: bool = False
 
     def __post_init__(self):
@@ -53,8 +48,6 @@ class LossConfig:
             raise ValueError("tau must be positive")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
-        if self.degenerate_single_edge_policy != "skip":
-            raise ValueError("only the 'skip' single-edge policy is supported")
 
 
 @dataclass(frozen=True)
@@ -81,46 +74,6 @@ class LossReport:
         }
 
 
-def _check_finite(data: np.ndarray, what: str) -> None:
-    if not np.isfinite(data).all():
-        raise NonFinite(f"{what} contains a non-finite value")
-
-
-def masked_anchor_nll(sims: Tensor, neg_mask: np.ndarray, tau: float,
-                      inclusive: bool = False) -> tuple[Tensor | None, int]:
-    """Sum over anchors of -pos_logit + logsumexp(masked negative logits).
-
-    ``sims`` is square with positives on the diagonal; ``neg_mask`` marks
-    each anchor row's negatives. Rows without negatives are skipped (this
-    is how single-edge graphs drop out). Returns (sum as 1x1 tensor, number
-    of contributing anchors), or (None, 0) when nothing contributes.
-    Row-max subtraction keeps the exponentials stable without changing the
-    value.
-    """
-    n = sims.shape[0]
-    if sims.shape != (n, n) or neg_mask.shape != (n, n):
-        raise ValueError(f"expected square sims and mask, got {sims.shape} and {neg_mask.shape}")
-    keep = neg_mask.any(axis=1)
-    k = int(keep.sum())
-    if k == 0:
-        return None, 0
-    eff_mask = neg_mask | np.eye(n, dtype=bool) if inclusive else neg_mask
-
-    logits = scale(sims, 1.0 / tau)
-    stab = np.where(eff_mask, logits.data, -np.inf).max(axis=1, keepdims=True)
-    stab[~keep] = 0.0  # dropped rows must not poison the arithmetic
-    shifted = add(logits, constant(-stab))
-    weighted = mul(exp(shifted), constant(eff_mask.astype(float)))
-    denom = row_sum(weighted)
-
-    pos = row_sum(mul(logits, constant(np.eye(n))))
-    keep_idx = np.flatnonzero(keep)
-    lse = add(log(gather_rows(denom, keep_idx)), constant(stab[keep_idx]))
-    terms = add(scale(gather_rows(pos, keep_idx), -1.0), lse)
-    total = matmul(constant(np.ones((1, k))), terms)
-    return total, k
-
-
 def _graph_ids(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
@@ -140,12 +93,11 @@ def nt_xent(z1: Tensor, z2: Tensor, tau: float,
         raise BatchTooSmall(f"need at least 2 rows, got {n}")
     neg = ~np.eye(n, dtype=bool)
     s12 = cosine_sim(z1, z2)
-    _check_finite(s12.data, "similarity")
-    s21 = cosine_sim(z2, z1)
-    sum1, k1 = masked_anchor_nll(s12, neg, tau, inclusive)
-    sum2, k2 = masked_anchor_nll(s21, neg, tau, inclusive)
+    check_finite(s12.data, "similarity")
+    sum1, k1 = masked_xent(s12, neg, tau, inclusive)
+    sum2, k2 = masked_xent(transpose(s12), neg, tau, inclusive)
     loss = scale(add(sum1, sum2), 1.0 / (k1 + k2))
-    _check_finite(loss.data, "loss")
+    check_finite(loss.data, "loss")
     return loss, k1 + k2
 
 
@@ -157,20 +109,17 @@ def intra_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
     Row i of both arguments refers to the same source edge. Negatives are
     drawn from the same graph only and anchors run one direction (edge
     representations against line-node states). Graphs with a single edge
-    contribute nothing.
+    contribute nothing. Only the same-graph similarity blocks are formed,
+    so the cost is the sum of squared graph edge counts, not E x E.
     """
     if edge_repr.shape != line_repr.shape:
         raise ValueError(f"row-aligned inputs required: {edge_repr.shape} vs {line_repr.shape}")
-    ids = _graph_ids(edge_offsets)
-    same = ids[:, None] == ids[None, :]
-    neg = same & ~np.eye(len(ids), dtype=bool)
-    sims = cosine_sim(edge_repr, line_repr)
-    _check_finite(sims.data, "similarity")
-    total, k = masked_anchor_nll(sims, neg, tau, inclusive)
+    total, k = block_xent(l2_normalize_rows(edge_repr), l2_normalize_rows(line_repr),
+                         edge_offsets, tau, inclusive)
     if total is None:
         return None, 0
     loss = scale(total, 1.0 / k)
-    _check_finite(loss.data, "loss")
+    check_finite(loss.data, "loss")
     return loss, k
 
 
@@ -190,12 +139,11 @@ def inter_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
     ids = _graph_ids(edge_offsets)
     neg = ids[:, None] != ids[None, :]
     s12 = cosine_sim(edge_repr, line_repr)
-    _check_finite(s12.data, "similarity")
-    s21 = cosine_sim(line_repr, edge_repr)
-    sum1, k1 = masked_anchor_nll(s12, neg, tau, inclusive)
-    sum2, k2 = masked_anchor_nll(s21, neg, tau, inclusive)
+    check_finite(s12.data, "similarity")
+    sum1, k1 = masked_xent(s12, neg, tau, inclusive)
+    sum2, k2 = masked_xent(transpose(s12), neg, tau, inclusive)
     loss = scale(add(sum1, sum2), 1.0 / (k1 + k2))
-    _check_finite(loss.data, "loss")
+    check_finite(loss.data, "loss")
     return loss, k1 + k2
 
 

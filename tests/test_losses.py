@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from linecontrast.autodiff import Tape, constant
+from linecontrast.autodiff import Tape, constant, masked_xent
 from linecontrast.losses import (
     BatchTooSmall,
     LossConfig,
@@ -12,7 +12,6 @@ from linecontrast.losses import (
     combine,
     inter_local,
     intra_local,
-    masked_anchor_nll,
     nt_xent,
 )
 
@@ -99,6 +98,12 @@ class TestIntraLocal:
         # only the two edges of the second graph contribute
         assert count == 2
 
+    def test_nan_edge_representation_raises(self):
+        e = np.eye(3)
+        e[1, 0] = np.nan
+        with pytest.raises(NonFinite, match="similarity"):
+            intra_local(constant(e), constant(np.eye(3)), np.array([0, 1, 3]), TAU)
+
     def test_identical_duplicate_edges_give_zero(self):
         h = constant(np.tile([[2.0, 1.0]], (2, 1)))
         value, _ = loss_value(intra_local, h, h, np.array([0, 2]), TAU)
@@ -138,6 +143,12 @@ class TestInterLocal:
         h = constant(np.eye(3))
         with pytest.raises(BatchTooSmall):
             inter_local(h, h, np.array([0, 3]), TAU)
+
+    def test_nan_edge_representation_raises(self):
+        e = np.eye(3)
+        e[1, 0] = np.nan
+        with pytest.raises(NonFinite, match="similarity"):
+            inter_local(constant(e), constant(np.eye(3)), np.array([0, 1, 3]), TAU)
 
     def test_single_edge_graphs_still_participate(self):
         h = constant(np.eye(2))
@@ -200,6 +211,98 @@ class TestAnchorPermutationInvariance:
             assert a == pytest.approx(b, abs=1e-10)
 
 
+def _dense_oracle(a, b, neg_mask, tau, inclusive, both_directions):
+    """Plain-numpy reference: the full similarity matrix, a boolean mask and
+    a row log-sum-exp. Returns (loss, anchors, grad wrt a, grad wrt b), with
+    loss None when no anchor has a negative."""
+    na = np.linalg.norm(a, axis=1, keepdims=True)
+    nb = np.linalg.norm(b, axis=1, keepdims=True)
+    an, bn = a / na, b / nb
+    sims = an @ bn.T
+    eye = np.eye(len(sims), dtype=bool)
+    directions = [sims, sims.T] if both_directions else [sims]
+    total, count, grads = 0.0, 0, []
+    for s in directions:
+        keep = neg_mask.any(axis=1)
+        mask = neg_mask | eye if inclusive else neg_mask
+        logits = np.where(mask, s / tau, -np.inf)[keep]
+        top = logits.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(logits - top).sum(axis=1)) + top[:, 0]
+        total += float((lse - np.diag(s)[keep] / tau).sum())
+        count += int(keep.sum())
+        g = np.zeros_like(s)
+        g[keep] = (np.exp(logits - lse[:, None]) - eye[keep]) / tau
+        grads.append(g)
+    if count == 0:
+        return None, 0, None, None
+    g_sims = grads[0] + (grads[1].T if both_directions else 0.0)
+    g_sims /= count
+    g_an, g_bn = g_sims @ bn, g_sims.T @ an
+    g_a = (g_an - an * (g_an * an).sum(axis=1, keepdims=True)) / na
+    g_b = (g_bn - bn * (g_bn * bn).sum(axis=1, keepdims=True)) / nb
+    return total / count, count, g_a, g_b
+
+
+class TestDenseOracle:
+    """The fused kernels against a dense E x E evaluation of every loss."""
+
+    @staticmethod
+    def _random_offsets(rng, max_size=6):
+        sizes = rng.integers(1, max_size + 1, size=rng.integers(2, 7))
+        return np.concatenate([[0], np.cumsum(sizes)])
+
+    @staticmethod
+    def _tape_loss(fn, a, b, *args):
+        tape = Tape()
+        ta, tb = tape.watch(a), tape.watch(b)
+        loss, count = fn(ta, tb, *args)
+        if loss is None:
+            return None, count, None, None
+        tape.backward(loss)
+        return loss.item(), count, tape.grad(ta), tape.grad(tb)
+
+    def _assert_matches(self, got, want):
+        assert got[1] == want[1]
+        if want[0] is None:
+            assert got[0] is None
+            return
+        assert abs(got[0] - want[0]) < 1e-12
+        assert np.abs(got[2] - want[2]).max() < 1e-12
+        assert np.abs(got[3] - want[3]).max() < 1e-12
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_local_losses_on_random_offsets(self, rng, inclusive):
+        for _ in range(10):
+            offsets = self._random_offsets(rng)
+            e = rng.standard_normal((offsets[-1], 5))
+            l = rng.standard_normal((offsets[-1], 5))
+            ids = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+            same = ids[:, None] == ids[None, :]
+            self._assert_matches(
+                self._tape_loss(intra_local, e, l, offsets, TAU, inclusive),
+                _dense_oracle(e, l, same & ~np.eye(len(ids), dtype=bool), TAU,
+                              inclusive, both_directions=False))
+            self._assert_matches(
+                self._tape_loss(inter_local, e, l, offsets, TAU, inclusive),
+                _dense_oracle(e, l, ~same, TAU, inclusive, both_directions=True))
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_graph_loss_on_random_batches(self, rng, inclusive):
+        for n in (2, 3, 7):
+            z1 = rng.standard_normal((n, 4))
+            z2 = rng.standard_normal((n, 4))
+            self._assert_matches(
+                self._tape_loss(nt_xent, z1, z2, TAU, inclusive),
+                _dense_oracle(z1, z2, ~np.eye(n, dtype=bool), TAU, inclusive,
+                              both_directions=True))
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_all_single_edge_batch_has_no_within_graph_anchor(self, rng, inclusive):
+        e = rng.standard_normal((4, 3))
+        l = rng.standard_normal((4, 3))
+        assert intra_local(constant(e), constant(l), np.arange(5), TAU, inclusive) == (None, 0)
+
+
 class TestMonotoneContrast:
     def test_raising_positive_similarity_lowers_the_term(self):
         # negatives fixed at similarity 0; sweep the positive similarity
@@ -210,7 +313,7 @@ class TestMonotoneContrast:
         for pos in (-0.5, 0.0, 0.4, 0.9, 1.0):
             sims = np.zeros((3, 3))
             np.fill_diagonal(sims, pos)
-            total, count = masked_anchor_nll(constant(sims), neg_mask, TAU)
+            total, count = masked_xent(constant(sims), neg_mask, TAU)
             value = total.item() / count
             if previous is not None:
                 assert value < previous
@@ -239,8 +342,6 @@ class TestLossConfig:
             LossConfig(tau=0.0)
         with pytest.raises(ValueError):
             LossConfig(alpha=-1.0)
-        with pytest.raises(ValueError):
-            LossConfig(degenerate_single_edge_policy="zero")
 
     def test_report_serializes(self):
         report = LossReport(1.0, 2.0, 3.0, 6.0, 4, 5, 6)
