@@ -7,7 +7,7 @@ a topological order, so backward replays the record once in reverse. A
 tape is meant to live for a single training step and be discarded after
 backward.
 
-Broadcasting is limited: the second operand of add / mul / divide may be
+Broadcasting is limited: the second operand of add / mul may be
 a 1 x m row or an n x 1 column against an n x m left operand; its gradient
 is summed over the broadcast axis. Everything else is shape-strict.
 """
@@ -213,19 +213,6 @@ def mul(a, b) -> Tensor:
     return _apply(_tape_of(a, b), out, (a, b), backward)
 
 
-def divide(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if not _broadcast_ok(a.shape, b.shape):
-        raise ShapeMismatch(f"divide: {a.shape} vs {b.shape}")
-    out = a.data / b.data
-    a_data, b_data, b_shape = a.data, b.data, b.shape
-
-    def backward(g):
-        return g / b_data, _reduce_to(-g * a_data / (b_data * b_data), b_shape)
-
-    return _apply(_tape_of(a, b), out, (a, b), backward)
-
-
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
@@ -273,6 +260,16 @@ def concat_cols(a, b) -> Tensor:
     return _apply(_tape_of(a, b), out, (a, b), backward)
 
 
+def _sum_rows_into(x: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
+    """out[r] = sum of the rows x[k] with idx[k] == r, as one bincount over
+    the flat (row, column) index; each entry sums in index order."""
+    d = x.shape[1]
+    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    out = np.bincount(flat, weights=x.ravel(), minlength=num_rows * d)
+    # bincount of an empty index yields integers, whatever the weights
+    return out.astype(np.float64, copy=False).reshape(num_rows, d)
+
+
 def gather_rows(x, rows) -> Tensor:
     x = _as_tensor(x)
     idx = np.asarray(rows, dtype=np.int64).reshape(-1)
@@ -282,9 +279,7 @@ def gather_rows(x, rows) -> Tensor:
     x_shape = x.shape
 
     def backward(g):
-        gx = np.zeros(x_shape)
-        np.add.at(gx, idx, g)
-        return (gx,)
+        return (_sum_rows_into(g, idx, x_shape[0]),)
 
     return _apply(_tape_of(x), out, (x,), backward)
 
@@ -297,8 +292,7 @@ def scatter_add_rows(x, rows, num_rows: int) -> Tensor:
         raise ShapeMismatch(f"scatter_add_rows: {idx.size} indices for {x.shape[0]} rows")
     if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
         raise ShapeMismatch(f"scatter_add_rows: index outside 0..{num_rows - 1}")
-    out = np.zeros((num_rows, x.shape[1]))
-    np.add.at(out, idx, x.data)
+    out = _sum_rows_into(x.data, idx, num_rows)
 
     def backward(g):
         return (g[idx],)
@@ -333,17 +327,6 @@ def row_sum(x) -> Tensor:
 
     def backward(g):
         return (np.repeat(g, cols, axis=1),)
-
-    return _apply(_tape_of(x), out, (x,), backward)
-
-
-def row_mean(x) -> Tensor:
-    x = _as_tensor(x)
-    cols = x.shape[1]
-    out = x.data.mean(axis=1, keepdims=True)
-
-    def backward(g):
-        return (np.repeat(g / cols, cols, axis=1),)
 
     return _apply(_tape_of(x), out, (x,), backward)
 

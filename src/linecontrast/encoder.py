@@ -215,13 +215,14 @@ def gin_layer(h: Tensor, edge_attr: Tensor, arc_src: np.ndarray, arc_dst: np.nda
     edge attributes + self-loop vector)).
 
     Arcs list each undirected edge twice (once per direction), so every
-    edge attribute reaches each endpoint exactly once.
+    edge attribute reaches each endpoint exactly once. Each arc carries
+    the message h[src] + edge_attr[edge]; one scatter sums the messages
+    into their destinations.
     """
     pre = h
     if len(arc_src):
-        neighbor_sum = scatter_add_rows(gather_rows(h, arc_src), arc_dst, num_nodes)
-        edge_sum = scatter_add_rows(gather_rows(edge_attr, arc_edge), arc_dst, num_nodes)
-        pre = add(add(pre, neighbor_sum), edge_sum)
+        messages = add(gather_rows(h, arc_src), gather_rows(edge_attr, arc_edge))
+        pre = add(pre, scatter_add_rows(messages, arc_dst, num_nodes))
     pre = add(pre, self_loop)
     return relu(mlp(pre))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,7 +68,6 @@ class Batch:
     edge_offsets: np.ndarray   # N + 1
     line_edges: np.ndarray     # sum(EL) x 2 global line-node ids
     line_edge_origin: np.ndarray  # sum(EL) global source node ids
-    line_edge_offsets: np.ndarray  # N + 1
     g_arc_src: np.ndarray = field(repr=False, default=None)
     g_arc_dst: np.ndarray = field(repr=False, default=None)
     g_arc_edge: np.ndarray = field(repr=False, default=None)
@@ -93,7 +91,6 @@ class Batch:
         line_edges, line_origin = [], []
         node_off = [0]
         edge_off = [0]
-        line_edge_off = [0]
         for g, view in pairs:
             lg = view.graph
             if lg.num_nodes != g.num_edges:
@@ -111,7 +108,6 @@ class Batch:
             line_origin.extend(v + base_n for v in view.edge_origin)
             node_off.append(base_n + g.num_nodes)
             edge_off.append(base_e + g.num_edges)
-            line_edge_off.append(line_edge_off[-1] + lg.num_edges)
 
         def arcs(pair_array: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if len(pair_array) == 0:
@@ -135,7 +131,6 @@ class Batch:
             edge_offsets=np.asarray(edge_off, dtype=np.int64),
             line_edges=line_edges_arr,
             line_edge_origin=np.asarray(line_origin, dtype=np.int64),
-            line_edge_offsets=np.asarray(line_edge_off, dtype=np.int64),
             g_arc_src=g_src, g_arc_dst=g_dst, g_arc_edge=g_edge,
             l_arc_src=l_src, l_arc_dst=l_dst, l_arc_edge=l_edge,
         )
@@ -215,20 +210,11 @@ def save_corpus(graphs, path) -> None:
             fh.write(json.dumps(graph_to_record(g), separators=(",", ":")) + "\n")
 
 
-def transform_corpus(corpus, workers: int = 1) -> list[tuple[MolecularGraph, LineGraphView]]:
-    """Transform every graph once, preserving corpus order.
-
-    Pure per-graph work; with workers > 1 the transformation fans out over
-    a thread pool and the merge stays in input order.
-    """
+def transform_corpus(corpus) -> list[tuple[MolecularGraph, LineGraphView]]:
+    """Transform every graph once, preserving corpus order."""
     global _transform_calls
     _transform_calls += 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            views = list(pool.map(to_line_graph, corpus))
-    else:
-        views = [to_line_graph(g) for g in corpus]
-    return list(zip(corpus, views))
+    return [(g, to_line_graph(g)) for g in corpus]
 
 
 # --- training ------------------------------------------------------------------

@@ -150,6 +150,56 @@ class TestGatherScatterAdjoint:
         assert out.data.tolist() == [[3.0], [4.0]]
 
 
+def add_at_reference(x: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
+    out = np.zeros((num_rows, x.shape[1]))
+    np.add.at(out, idx, x)
+    return out
+
+
+class TestRowScatterKernel:
+    """The bincount row scatter behind scatter_add_rows and the backward of
+    gather_rows, against a plain np.add.at reference."""
+
+    @staticmethod
+    def repeated_index(rng, size, num_rows):
+        # draws from the lower rows only, so rows repeat and the top ones
+        # receive nothing
+        idx = rng.integers(0, num_rows - 3, size=size)
+        assert len(np.unique(idx)) < size
+        return idx
+
+    @pytest.mark.parametrize("d", [1, 32])
+    def test_scatter_forward_matches_add_at(self, rng, d):
+        x = rng.standard_normal((40, d))
+        idx = self.repeated_index(rng, 40, 12)
+        out = ad.scatter_add_rows(ad.constant(x), idx, 12)
+        assert out.shape == (12, d)
+        assert np.abs(out.data - add_at_reference(x, idx, 12)).max() < 1e-12
+        assert not out.data[9:].any()
+
+    @pytest.mark.parametrize("d", [1, 32])
+    def test_gather_gradient_matches_add_at(self, rng, d):
+        x_val = rng.standard_normal((12, d))
+        idx = self.repeated_index(rng, 40, 12)
+        w = rng.standard_normal((40, d))
+        tape = Tape()
+        x = tape.watch(x_val)
+        loss = ad.row_sum(ad.matmul(ad.constant(np.ones((1, 40))),
+                                    ad.mul(ad.gather_rows(x, idx), ad.constant(w))))
+        tape.backward(loss)
+        assert np.abs(tape.grad(x) - add_at_reference(w, idx, 12)).max() < 1e-12
+
+    def test_empty_index_gives_zero_gradient(self, rng):
+        tape = Tape()
+        x = tape.watch(rng.standard_normal((5, 3)))
+        picked = ad.gather_rows(x, np.zeros(0, dtype=np.int64))
+        loss = ad.row_sum(ad.matmul(ad.constant(np.ones((1, 0))), picked))
+        tape.backward(loss)
+        g = tape.grad(x)
+        assert g.shape == (5, 3) and g.dtype == np.float64
+        assert not g.any()
+
+
 class TestMaskedXent:
     @pytest.mark.parametrize("inclusive", [False, True])
     def test_transposed_view_matches_row_major_copy(self, rng, inclusive):

@@ -1,11 +1,19 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from linecontrast.autodiff import AdamState
 from linecontrast.cli import main, read_kv_config, resolve_train_config
-from linecontrast.pipeline import load_training_checkpoint, save_corpus
+from linecontrast.encoder import DualHelixParams, EncoderConfig
+from linecontrast.pipeline import (
+    PretrainResult,
+    load_training_checkpoint,
+    save_corpus,
+    save_training_checkpoint,
+)
 from linecontrast.synth import random_molecular_graph
 
 DATA = Path(__file__).parent / "data"
@@ -170,6 +178,63 @@ class TestEmbedCommand:
         corpus = write_corpus(tmp_path, n=4)
         assert main(["embed", "--corpus", str(corpus), "--ckpt",
                      str(tmp_path / "none.bin"), "--out", str(tmp_path / "o")]) == 2
+
+
+def _edited_header(edit):
+    """A corruption that rewrites the JSON header through `edit`."""
+    def corrupt(raw: bytes) -> bytes:
+        (size,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + size])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + size:]
+    return corrupt
+
+
+def _negative_first_dimension(header):
+    header["params"][0][1][0] = -1
+
+
+CORRUPTIONS = {
+    "cut in the header length": lambda raw: raw[:10],
+    "cut in the header": lambda raw: raw[:40],
+    "header length past the end": lambda raw: raw[:8] + b"\xff\xff\xff\xff" + raw[12:],
+    "cut in the data": lambda raw: raw[:-16],
+    "undecodable header": lambda raw: raw[:12] + b"\xff" + raw[13:],
+    "header not JSON": lambda raw: raw[:12] + b"[" + raw[13:],
+    "header without parameter table": _edited_header(lambda h: h.pop("params")),
+    "parameter entry without shape": _edited_header(lambda h: h["params"][0].pop()),
+    "negative dimension": _edited_header(_negative_first_dimension),
+    "metadata not an object": _edited_header(lambda h: h.update(meta=[])),
+    "trailing bytes": lambda raw: raw + b"\x00",
+}
+
+
+class TestCorruptCheckpoint:
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        params = DualHelixParams.initialize(EncoderConfig(depth=1, hidden_dim=4), 0)
+        result = PretrainResult(params=params, reports=[],
+                                optimizer=AdamState.for_params(params.arrays))
+        path = tmp_path / "checkpoint.bin"
+        save_training_checkpoint(path, result)
+        return path
+
+    def test_intact_checkpoint_embeds(self, tmp_path, checkpoint):
+        corpus = write_corpus(tmp_path, n=3)
+        assert main(["embed", "--corpus", str(corpus), "--ckpt", str(checkpoint),
+                     "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_corrupt_checkpoint_exits_2_with_one_line(self, tmp_path, checkpoint, capsys,
+                                                       kind):
+        corpus = write_corpus(tmp_path, n=3)
+        checkpoint.write_bytes(CORRUPTIONS[kind](checkpoint.read_bytes()))
+        code = main(["embed", "--corpus", str(corpus), "--ckpt", str(checkpoint),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestBenchCommand:

@@ -132,10 +132,6 @@ class TestTransformCorpus:
         transform_corpus(corpus)
         assert transform_call_count() == before + 1
 
-    def test_parallel_equals_serial(self):
-        corpus = [random_molecular_graph(i, (4, 16), 4) for i in range(200)]
-        assert transform_corpus(corpus, workers=4) == transform_corpus(corpus)
-
     def test_line_edge_totals_match_counting_formula(self):
         from linecontrast.graphs import line_edge_count
         corpus = [random_molecular_graph(i, (4, 18), 4) for i in range(2000)]
