@@ -300,15 +300,6 @@ def scatter_add_rows(x, rows, num_rows: int) -> Tensor:
     return _apply(_tape_of(x), out, (x,), backward)
 
 
-def transpose(x) -> Tensor:
-    x = _as_tensor(x)
-
-    def backward(g):
-        return (g.T,)
-
-    return _apply(_tape_of(x), x.data.T, (x,), backward)
-
-
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     out = np.maximum(x.data, 0.0)
@@ -359,13 +350,20 @@ def cosine_sim(a, b) -> Tensor:
 # --- fused contrastive cross-entropy -----------------------------------------
 #
 # Both kernels take square similarity blocks with the positives on the
-# diagonal and a boolean mask of each anchor's negatives. Anchor i
+# diagonal and a boolean mask of each anchor's negatives. A row anchor i
 # contributes
 #     -s_ii / tau + logsumexp_{j in mask_i} s_ij / tau
 # (the positive joins the log-sum-exp when `inclusive`); anchors without
-# negatives are dropped. The gradient on the kept anchors is
-# (softmax over the masked row - onehot(i)) / tau. It is recomputed from
-# the similarities in backward, so no n x n intermediate outlives forward.
+# negatives are dropped. Its gradient is
+# (softmax over the masked row - onehot(i)) / tau.
+#
+# masked_xent reads its matrix in both directions: column j anchors the
+# same way on s_jj against the rows that mask[:, j] sets. Forward already
+# holds both softmaxes, so it keeps their sum as the gradient and drops s.
+# Each direction takes its own exact max shift: one global shift would
+# underflow every exp once tau is small. block_xent runs one direction per
+# block and recomputes the softmax in backward, so no padded stack
+# outlives forward.
 
 def _masked_logits(s: np.ndarray, neg_mask: np.ndarray, tau: float,
                    inclusive: bool) -> np.ndarray:
@@ -378,32 +376,36 @@ def _masked_logits(s: np.ndarray, neg_mask: np.ndarray, tau: float,
     return x
 
 
-def _xent(s: np.ndarray, neg_mask: np.ndarray, tau: float, inclusive: bool,
-          axis: int = -1):
+def _max_shift(x: np.ndarray, axis: int) -> np.ndarray:
+    shift = x.max(axis=axis, keepdims=True)
+    shift[np.isneginf(shift)] = 0.0  # anchors with nothing to sum
+    return shift
+
+
+def _xent(s: np.ndarray, neg_mask: np.ndarray, tau: float, inclusive: bool):
     """Forward pass over square blocks on the last two axes of `s`, with
-    anchors along the other one of those axes and candidates along `axis`.
+    anchors along the rows and candidates along the last axis.
 
     Returns (sum of the kept anchor terms, number of kept anchors, a
     function mapping the scalar upstream gradient to the gradient on `s`),
     or (None, 0, None) when no anchor has a negative.
     """
-    keep = neg_mask.any(axis=axis, keepdims=True)
+    keep = neg_mask.any(axis=-1, keepdims=True)
     k = int(np.count_nonzero(keep))
     if k == 0:
         return None, 0, None
     x = _masked_logits(s, neg_mask, tau, inclusive)
-    shift = x.max(axis=axis, keepdims=True)
-    shift[np.isneginf(shift)] = 0.0  # anchors with nothing to sum
+    shift = _max_shift(x, -1)
     x -= shift
     np.exp(x, out=x)
     # dropped anchors get +inf, so their softmax in backward is exactly 0
-    lse = np.log(x.sum(axis=axis, keepdims=True), out=np.full(keep.shape, np.inf),
+    lse = np.log(x.sum(axis=-1, keepdims=True), out=np.full(keep.shape, np.inf),
                  where=keep)
     lse += shift
     del x
     d = np.arange(s.shape[-1])
-    keep_d = np.squeeze(keep, axis)
-    total = float((np.squeeze(lse, axis) - s[..., d, d] * (1.0 / tau))[keep_d].sum())
+    keep_d = keep[..., 0]
+    total = float((lse[..., 0] - s[..., d, d] * (1.0 / tau))[keep_d].sum())
 
     def grad(g: float) -> np.ndarray:
         p = _masked_logits(s, neg_mask, tau, inclusive)
@@ -418,33 +420,51 @@ def _xent(s: np.ndarray, neg_mask: np.ndarray, tau: float, inclusive: bool,
 
 def masked_xent(sims, neg_mask: np.ndarray, tau: float,
                 inclusive: bool = False) -> tuple[Tensor | None, int]:
-    """Summed contrastive cross-entropy of a square similarity matrix.
+    """Summed contrastive cross-entropy of a square similarity matrix, read
+    in both directions.
 
-    Row i anchors with positive sims[i, i] and negatives where
-    neg_mask[i] is set. Returns (sum over the kept anchors as a 1 x 1
-    tensor, number of kept anchors), or (None, 0) when no row has a
-    negative. One tape node.
+    Row i anchors with positive sims[i, i] against the columns that
+    neg_mask[i] sets; column j anchors with positive sims[j, j] against the
+    rows that neg_mask[:, j] sets. Returns (sum over the kept row and
+    column anchors as a 1 x 1 tensor, number of kept anchors), or (None, 0)
+    when no anchor has a negative. One tape node.
     """
     sims = _as_tensor(sims)
     n = sims.shape[0]
     if sims.shape != (n, n) or neg_mask.shape != (n, n):
         raise ShapeMismatch(f"masked_xent: square sims and mask needed, "
                             f"got {sims.shape} and {neg_mask.shape}")
-    s = sims.data
-    transposed = s.flags.f_contiguous and not s.flags.c_contiguous
-    if transposed:
-        # the transpose of a row-major matrix (the reverse loss direction):
-        # reduce down the columns of the row-major array, which reads it in
-        # memory order and yields a gradient whose transpose is row-major
-        total, k, grad = _xent(s.T, np.ascontiguousarray(neg_mask.T), tau, inclusive, axis=0)
-    else:
-        total, k, grad = _xent(s, neg_mask, tau, inclusive)
-    if total is None:
+    keep_row = neg_mask.any(axis=1)
+    keep_col = neg_mask.any(axis=0)
+    k = int(np.count_nonzero(keep_row)) + int(np.count_nonzero(keep_col))
+    if k == 0:
         return None, 0
+    s = sims.data
+    d = np.arange(n)
+    diag = s[d, d] * (1.0 / tau)
+    x = _masked_logits(s, neg_mask, tau, inclusive)
+    row_shift = _max_shift(x, 1)
+    col_shift = _max_shift(x, 0)
+    p = x - row_shift
+    np.exp(p, out=p)
+    x -= col_shift
+    np.exp(x, out=x)
+    row_sum = p.sum(axis=1)
+    col_sum = x.sum(axis=0)
+    total = float((np.log(row_sum[keep_row]) + row_shift[keep_row, 0]
+                   - diag[keep_row]).sum())
+    total += float((np.log(col_sum[keep_col]) + col_shift[0, keep_col]
+                    - diag[keep_col]).sum())
+    # dropped anchors scale by 0, so their softmax is exactly 0
+    p *= np.divide(1.0, row_sum, out=np.zeros(n), where=keep_row)[:, None]
+    x *= np.divide(1.0, col_sum, out=np.zeros(n), where=keep_col)
+    p += x
+    del x
+    p[d, d] -= keep_row
+    p[d, d] -= keep_col
 
     def backward(g):
-        gs = grad(float(g[0, 0]))
-        return (gs.T if transposed else gs,)
+        return (p * (float(g[0, 0]) / tau),)
 
     return _apply(_tape_of(sims), np.array([[total]]), (sims,), backward), k
 

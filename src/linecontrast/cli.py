@@ -172,17 +172,19 @@ def cmd_pretrain(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.bin"
     init = None
+    first_epoch = 0
     if args.resume:
         if not ckpt_path.exists():
             raise ConfigError(f"--resume given but {ckpt_path} does not exist")
         init = load_training_checkpoint(ckpt_path)
+        first_epoch = init.epochs_done
     corpus = load_corpus(args.corpus)
     result = pretrain(corpus, cfg, metrics_path=out_dir / "metrics.jsonl", init=init)
     save_training_checkpoint(ckpt_path, result)
     per_epoch: dict[int, list[float]] = {}
     steps_per_epoch = max(1, len(corpus) // cfg.batch_size)
     for i, report in enumerate(result.reports):
-        per_epoch.setdefault(i // steps_per_epoch, []).append(report.l_total)
+        per_epoch.setdefault(first_epoch + i // steps_per_epoch, []).append(report.l_total)
     for epoch, values in per_epoch.items():
         print(f"[pretrain] epoch={epoch} mean_total_loss={np.mean(values):.6f}")
     print(f"[pretrain] wrote {ckpt_path} and {out_dir / 'metrics.jsonl'} "

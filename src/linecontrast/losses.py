@@ -20,7 +20,6 @@ import numpy as np
 from .autodiff import (
     NonFinite,
     Tensor,
-    add,
     block_xent,
     check_finite,
     cosine_sim,
@@ -28,7 +27,6 @@ from .autodiff import (
     l2_normalize_rows,
     masked_xent,
     scale,
-    transpose,
 )
 
 
@@ -94,11 +92,10 @@ def nt_xent(z1: Tensor, z2: Tensor, tau: float,
     neg = ~np.eye(n, dtype=bool)
     s12 = cosine_sim(z1, z2)
     check_finite(s12.data, "similarity")
-    sum1, k1 = masked_xent(s12, neg, tau, inclusive)
-    sum2, k2 = masked_xent(transpose(s12), neg, tau, inclusive)
-    loss = scale(add(sum1, sum2), 1.0 / (k1 + k2))
+    total, k = masked_xent(s12, neg, tau, inclusive)
+    loss = scale(total, 1.0 / k)
     check_finite(loss.data, "loss")
-    return loss, k1 + k2
+    return loss, k
 
 
 def intra_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
@@ -140,11 +137,10 @@ def inter_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
     neg = ids[:, None] != ids[None, :]
     s12 = cosine_sim(edge_repr, line_repr)
     check_finite(s12.data, "similarity")
-    sum1, k1 = masked_xent(s12, neg, tau, inclusive)
-    sum2, k2 = masked_xent(transpose(s12), neg, tau, inclusive)
-    loss = scale(add(sum1, sum2), 1.0 / (k1 + k2))
+    total, k = masked_xent(s12, neg, tau, inclusive)
+    loss = scale(total, 1.0 / k)
     check_finite(loss.data, "loss")
-    return loss, k1 + k2
+    return loss, k
 
 
 def combine(l_graph: float, l_intra: float, l_inter: float, cfg: LossConfig,

@@ -311,8 +311,10 @@ def pretrain(corpus, cfg: TrainConfig, *, metrics_path=None,
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
+    # a resume at or below the epochs already done trains nothing and must
+    # not lower the count, or a later resume would repeat those epochs
     return PretrainResult(params=params, optimizer=opt, reports=reports,
-                          step=step, epochs_done=cfg.epochs)
+                          step=step, epochs_done=max(cfg.epochs, first_epoch))
 
 
 def embed_corpus(corpus, params: DualHelixParams, batch_size: int = 64) -> np.ndarray:
@@ -357,19 +359,18 @@ def save_training_checkpoint(path, result: PretrainResult) -> None:
 def load_training_checkpoint(path) -> PretrainResult:
     ck = load_checkpoint(path)
     expected = param_shapes(ck.config)
-    model: dict[str, np.ndarray] = {}
-    m: dict[str, np.ndarray] = {}
-    v: dict[str, np.ndarray] = {}
-    for name, arr in ck.arrays.items():
-        kind, _, rest = name.partition(".")
-        if kind == "model":
-            model[rest] = arr
-        elif kind == "opt":
-            moment, _, pname = rest.partition(".")
-            (m if moment == "m" else v)[pname] = arr
-    for name, shape in expected.items():
-        if name not in model or tuple(model[name].shape) != shape:
-            raise ConfigMismatch(f"parameter {name} missing or misshaped for the stored config")
+
+    def arrays(prefix: str) -> dict[str, np.ndarray]:
+        found = {}
+        for name, shape in expected.items():
+            arr = ck.arrays.get(prefix + name)
+            if arr is None or tuple(arr.shape) != shape:
+                raise ConfigMismatch(f"array {prefix}{name} missing or misshaped "
+                                     "for the stored config")
+            found[name] = arr
+        return found
+
+    model, m, v = arrays("model."), arrays("opt.m."), arrays("opt.v.")
     adam_meta = ck.meta.get("adam", {})
     opt = AdamState(
         learning_rate=float(adam_meta.get("learning_rate", 1e-3)),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from linecontrast.autodiff import AdamState
+from linecontrast.checkpoint import load_checkpoint, save_checkpoint
 from linecontrast.cli import main, read_kv_config, resolve_train_config
 from linecontrast.encoder import DualHelixParams, EncoderConfig
 from linecontrast.pipeline import (
@@ -99,10 +100,11 @@ class TestPretrainCommand:
         assert all(r["l_intra"] == 0.0 and r["l_inter"] == 0.0 for r in rows)
         assert all(r["intra_anchors"] == 0 and r["inter_anchors"] == 0 for r in rows)
 
-    def test_resume_continues_step_numbering(self, tmp_path):
+    def test_resume_continues_step_numbering(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
         code, out_dir = self.run_pretrain(tmp_path, corpus)
         assert code == 0
+        capsys.readouterr()
         code = main(["pretrain", "--corpus", str(corpus), "--out", str(out_dir),
                      "--epochs", "2", "--batch-size", "4", "--hidden-dim", "16",
                      "--depth", "2", "--seed", "1", "--resume"])
@@ -111,6 +113,45 @@ class TestPretrainCommand:
         assert state.step == 6
         rows = [json.loads(l) for l in (out_dir / "metrics.jsonl").read_text().splitlines()]
         assert [r["step"] for r in rows] == list(range(6))
+        labels = [l.split()[1] for l in capsys.readouterr().out.splitlines()
+                  if l.startswith("[pretrain] epoch=")]
+        assert labels == ["epoch=1"]  # the resumed epoch, numbered from the checkpoint
+
+    def test_resume_below_epochs_done_keeps_the_count(self, tmp_path):
+        corpus = write_corpus(tmp_path, n=8)
+
+        def run(name, *epochs):
+            out_dir = tmp_path / name
+            for i, n in enumerate(epochs):
+                assert main(["pretrain", "--corpus", str(corpus), "--out", str(out_dir),
+                             "--epochs", str(n), "--batch-size", "4", "--hidden-dim", "16",
+                             "--depth", "2", "--seed", "1", *(["--resume"] if i else [])]) == 0
+            return [(out_dir / f).read_bytes() for f in ("checkpoint.bin", "metrics.jsonl")]
+
+        # the 2-epoch resume trains nothing and must not rewind the count
+        assert run("chained", 3, 2, 4) == run("straight", 4)
+
+    @pytest.mark.parametrize("kind", ["missing", "misshaped"])
+    def test_resume_with_bad_optimizer_moments_exits_2(self, tmp_path, capsys, kind):
+        corpus = write_corpus(tmp_path)
+        code, out_dir = self.run_pretrain(tmp_path, corpus)
+        assert code == 0
+        ckpt_path = out_dir / "checkpoint.bin"
+        ck = load_checkpoint(ckpt_path)
+        if kind == "missing":
+            arrays = {k: a for k, a in ck.arrays.items() if k.startswith("model.")}
+        else:
+            arrays = dict(ck.arrays)
+            name = next(k for k in sorted(arrays) if k.startswith("opt.v."))
+            arrays[name] = np.zeros((1, 1))
+        save_checkpoint(ckpt_path, ck.config, arrays, ck.meta)
+        capsys.readouterr()
+        code = main(["pretrain", "--corpus", str(corpus), "--out", str(out_dir),
+                     "--epochs", "2", "--batch-size", "4", "--hidden-dim", "16",
+                     "--depth", "2", "--seed", "1", "--resume"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_resume_without_checkpoint_exits_2(self, tmp_path):
         corpus = write_corpus(tmp_path)

@@ -304,20 +304,39 @@ class TestDenseOracle:
 
 
 class TestMonotoneContrast:
-    def test_raising_positive_similarity_lowers_the_term(self):
-        # negatives fixed at similarity 0; sweep the positive similarity
-        neg_mask = np.array([[False, True, True],
-                             [True, False, True],
-                             [True, True, False]])
-        previous = None
-        for pos in (-0.5, 0.0, 0.4, 0.9, 1.0):
-            sims = np.zeros((3, 3))
-            np.fill_diagonal(sims, pos)
-            total, count = masked_xent(constant(sims), neg_mask, TAU)
-            value = total.item() / count
-            if previous is not None:
-                assert value < previous
-            previous = value
+    def test_raising_positive_similarity_lowers_the_term(self, rng):
+        # fixed asymmetric negatives, so the row and the column that read
+        # the swept positive see different denominators
+        neg_mask = ~np.eye(3, dtype=bool)
+        off_diagonal = rng.uniform(-0.5, 0.5, (3, 3))
+        for inclusive in (False, True):
+            previous = None
+            for pos in (-0.5, 0.0, 0.4, 0.9, 1.0):
+                sims = off_diagonal.copy()
+                sims[0, 0] = pos
+                total, count = masked_xent(constant(sims), neg_mask, TAU, inclusive)
+                assert count == 6  # three row and three column anchors
+                if previous is not None:
+                    assert total.item() < previous
+                previous = total.item()
+
+
+class TestSmallTemperature:
+    def test_inter_local_matches_dense_oracle_at_tau_1e_3(self, rng):
+        # a single max shift over the whole matrix would underflow here
+        tau = 1e-3
+        offsets = np.array([0, 3, 4, 8, 10])
+        e = rng.standard_normal((10, 5))
+        l = rng.standard_normal((10, 5))
+        ids = np.repeat(np.arange(4), np.diff(offsets))
+        for inclusive in (False, True):
+            got = TestDenseOracle._tape_loss(inter_local, e, l, offsets, tau, inclusive)
+            want = _dense_oracle(e, l, ids[:, None] != ids[None, :], tau, inclusive,
+                                 both_directions=True)
+            assert np.isfinite(got[0]) and got[1] == want[1]
+            assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+            assert np.abs(got[2] - want[2]).max() < 1e-12 / tau
+            assert np.abs(got[3] - want[3]).max() < 1e-12 / tau
 
 
 class TestGradients:
