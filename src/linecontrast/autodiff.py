@@ -75,20 +75,6 @@ class Tensor:
         tag = f" slot={self.slot}" if self.tape is not None else ""
         return f"Tensor(shape={self.shape}{tag})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def constant(data) -> Tensor:
     return Tensor(data)

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import AdamState, Tape, adam_step
-from .encoder import DualHelixParams, EncoderConfig, encode_batch
-from .pipeline import Batch, TrainConfig, compute_step_losses, loss_config, transform_call_count, transform_corpus
+from .autodiff import AdamState
+from .encoder import DualHelixParams, EncoderConfig
+from .pipeline import Batch, TrainConfig, loss_config, train_step, transform_call_count, transform_corpus
 from .synth import random_molecular_graph
 
 
@@ -106,20 +106,8 @@ def bench_train_step(n_graphs: int = 48, batch_size: int = 16, steps: int = 4,
     for _ in range(steps):
         pick = rng.choice(len(pairs), size=batch_size, replace=False)
         batch = Batch.build([pairs[i] for i in pick])
-
-        start = time.perf_counter()
-        tape = Tape()
-        tensors = params.watched(tape)
-        enc = encode_batch(batch, tensors, cfg.encoder)
-        total, _ = compute_step_losses(batch, enc, lcfg)
-        report.forward_seconds.append(time.perf_counter() - start)
-
-        start = time.perf_counter()
-        tape.backward(total)
-        grads = {name: tape.grad(t) for name, t in tensors.items()}
-        report.backward_seconds.append(time.perf_counter() - start)
-
-        start = time.perf_counter()
-        adam_step(params.arrays, grads, opt)
-        report.optimizer_seconds.append(time.perf_counter() - start)
+        _, (forward_s, backward_s, adam_s) = train_step(params, opt, batch, lcfg)
+        report.forward_seconds.append(forward_s)
+        report.backward_seconds.append(backward_s)
+        report.optimizer_seconds.append(adam_s)
     return report

@@ -152,19 +152,7 @@ def cmd_transform(args) -> int:
 
 def cmd_pretrain(args) -> int:
     file_values = read_kv_config(args.config) if args.config else {}
-    flags = {
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate,
-        "seed": args.seed,
-        "depth": args.depth,
-        "hidden_dim": args.hidden_dim,
-        "tau": args.tau,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "edge_fusion": args.edge_fusion,
-        "shuffle": args.shuffle,
-    }
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
     cfg = resolve_train_config(args.preset, file_values, flags)
     _banner("pretrain", cfg, corpus=str(args.corpus), out=str(args.out),
             resume=bool(args.resume))
@@ -172,21 +160,15 @@ def cmd_pretrain(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.bin"
     init = None
-    first_epoch = 0
     if args.resume:
         if not ckpt_path.exists():
             raise ConfigError(f"--resume given but {ckpt_path} does not exist")
         init = load_training_checkpoint(ckpt_path)
-        first_epoch = init.epochs_done
     corpus = load_corpus(args.corpus)
     result = pretrain(corpus, cfg, metrics_path=out_dir / "metrics.jsonl", init=init)
     save_training_checkpoint(ckpt_path, result)
-    per_epoch: dict[int, list[float]] = {}
-    steps_per_epoch = max(1, len(corpus) // cfg.batch_size)
-    for i, report in enumerate(result.reports):
-        per_epoch.setdefault(first_epoch + i // steps_per_epoch, []).append(report.l_total)
-    for epoch, values in per_epoch.items():
-        print(f"[pretrain] epoch={epoch} mean_total_loss={np.mean(values):.6f}")
+    for epoch, mean in result.epoch_means.items():
+        print(f"[pretrain] epoch={epoch} mean_total_loss={mean:.6f}")
     print(f"[pretrain] wrote {ckpt_path} and {out_dir / 'metrics.jsonl'} "
           f"(step={result.step})")
     return 0

@@ -11,7 +11,7 @@ graph helix, which is what makes the exchange a plain row lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -23,6 +23,7 @@ from .autodiff import (
     constant,
     gather_rows,
     matmul,
+    mul,
     relu,
     scatter_add_rows,
 )
@@ -238,20 +239,15 @@ class BatchEncoding:
     z_graph: Tensor                # N x d projected, graph view
     z_line: Tensor                 # N x d projected, line view
     edge_pair: Tensor              # sum(E) x d two-endpoint edge representations
-    node_offsets: np.ndarray = field(repr=False, default=None)
-    edge_offsets: np.ndarray = field(repr=False, default=None)
 
 
 def readout(h: Tensor, offsets: np.ndarray) -> Tensor:
     """Per-graph arithmetic mean of node rows, offsets delimiting graphs."""
-    n_graphs = len(offsets) - 1
     counts = np.diff(offsets)
     if (counts <= 0).any():
         raise EmptyGraph(f"graph {int(np.flatnonzero(counts <= 0)[0])} has no nodes")
-    pool = np.zeros((n_graphs, h.shape[0]))
-    for i in range(n_graphs):
-        pool[i, offsets[i]:offsets[i + 1]] = 1.0 / counts[i]
-    return matmul(constant(pool), h)
+    graph_ids = np.repeat(np.arange(len(counts)), counts)
+    return mul(scatter_add_rows(h, graph_ids, len(counts)), constant(1.0 / counts[:, None]))
 
 
 def project(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
@@ -314,6 +310,4 @@ def encode_batch(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> BatchE
         z_line=project(line_graph_repr, params["proj.w1"], params["proj.w2"]),
         edge_pair=edge_pair_representation(h_graph, batch.edges,
                                            params["edge_rep.w"], params["edge_rep.b"]),
-        node_offsets=batch.node_offsets,
-        edge_offsets=batch.edge_offsets,
     )

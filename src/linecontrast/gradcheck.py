@@ -19,8 +19,8 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .encoder import DualHelixParams, EncoderConfig, encode_batch
 from .graphs import to_line_graph
-from .losses import inter_local, intra_local, nt_xent
-from .pipeline import Batch
+from .losses import LossConfig, inter_local, intra_local, nt_xent
+from .pipeline import Batch, compute_step_losses
 from .synth import random_molecular_graph
 
 DEFAULT_TOLERANCE = 1e-4
@@ -207,24 +207,16 @@ def _loss_cases(rng: np.random.Generator) -> dict[str, list[Case]]:
 
 
 def _objective_case(seed: int) -> Case:
-    """Full weighted objective through the dual encoder on a 2-graph batch."""
+    """The training objective through the dual encoder on a 2-graph batch."""
     cfg = EncoderConfig(depth=3, hidden_dim=8, atomic_vocab=6, chirality_vocab=3,
-                        bond_type_vocab=4, bond_direction_vocab=3,
-                        tau=0.1, alpha=1.0, beta=1.0)
+                        bond_type_vocab=4, bond_direction_vocab=3)
     graphs = [random_molecular_graph(seed * 1000 + i, (5, 7), 3, vocab=cfg.vocab)
               for i in range(2)]
     batch = Batch.build([(g, to_line_graph(g)) for g in graphs])
     params = DualHelixParams.initialize(cfg, seed)
 
     def build(tensors: dict[str, Tensor]) -> Tensor:
-        enc = encode_batch(batch, tensors, cfg)
-        l_graph, _ = nt_xent(enc.z_graph, enc.z_line, cfg.tau)
-        l_inter, _ = inter_local(enc.edge_pair, enc.line_node_embeddings,
-                                 batch.edge_offsets, cfg.tau)
-        l_intra, _ = intra_local(enc.edge_pair, enc.line_node_embeddings,
-                                 batch.edge_offsets, cfg.tau)
-        total = ad.add(l_graph, ad.scale(l_inter, cfg.alpha))
-        return ad.add(total, ad.scale(l_intra, cfg.beta))
+        return compute_step_losses(batch, encode_batch(batch, tensors, cfg), LossConfig())[0]
 
     return build, params.arrays
 

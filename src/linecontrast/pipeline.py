@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import AdamState, Tape, add, adam_step, scale
+from .autodiff import AdamState, Tape, ZeroNormRow, add, adam_step, scale
 from .checkpoint import ConfigMismatch, load_checkpoint, save_checkpoint
 from .encoder import (
     BatchEncoding,
@@ -66,7 +67,6 @@ class Batch:
     edge_feat: np.ndarray      # sum(E) x 2 int
     node_offsets: np.ndarray   # N + 1
     edge_offsets: np.ndarray   # N + 1
-    line_edges: np.ndarray     # sum(EL) x 2 global line-node ids
     line_edge_origin: np.ndarray  # sum(EL) global source node ids
     g_arc_src: np.ndarray = field(repr=False, default=None)
     g_arc_dst: np.ndarray = field(repr=False, default=None)
@@ -119,9 +119,8 @@ class Batch:
             return src, dst, np.concatenate([ids, ids])
 
         edges_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        line_edges_arr = np.asarray(line_edges, dtype=np.int64).reshape(-1, 2)
         g_src, g_dst, g_edge = arcs(edges_arr)
-        l_src, l_dst, l_edge = arcs(line_edges_arr)
+        l_src, l_dst, l_edge = arcs(np.asarray(line_edges, dtype=np.int64).reshape(-1, 2))
         return cls(
             n_graphs=len(pairs),
             node_feat=np.asarray(node_feat, dtype=np.int64).reshape(-1, 2),
@@ -129,7 +128,6 @@ class Batch:
             edge_feat=np.asarray(edge_feat, dtype=np.int64).reshape(-1, 2),
             node_offsets=np.asarray(node_off, dtype=np.int64),
             edge_offsets=np.asarray(edge_off, dtype=np.int64),
-            line_edges=line_edges_arr,
             line_edge_origin=np.asarray(line_origin, dtype=np.int64),
             g_arc_src=g_src, g_arc_dst=g_dst, g_arc_edge=g_edge,
             l_arc_src=l_src, l_arc_dst=l_dst, l_arc_edge=l_edge,
@@ -226,6 +224,7 @@ class PretrainResult:
     reports: list[LossReport]
     step: int = 0
     epochs_done: int = 0
+    epoch_means: dict[int, float] = field(default_factory=dict)  # epoch -> mean l_total
 
 
 def compute_step_losses(batch: Batch, enc: BatchEncoding, lcfg: LossConfig):
@@ -257,6 +256,26 @@ def compute_step_losses(batch: Batch, enc: BatchEncoding, lcfg: LossConfig):
     return total, report
 
 
+def train_step(params: DualHelixParams, opt: AdamState, batch: Batch,
+               lcfg: LossConfig) -> tuple[LossReport, tuple[float, float, float]]:
+    """One optimisation step on one batch, on its own tape: encode, weighted
+    losses, backward, and an in-place Adam update of `params` and `opt`.
+
+    Returns the step's LossReport and its (forward, backward, Adam) seconds.
+    """
+    start = time.perf_counter()
+    tape = Tape()
+    tensors = params.watched(tape)
+    total, report = compute_step_losses(batch, encode_batch(batch, tensors, params.config), lcfg)
+    forward_end = time.perf_counter()
+    tape.backward(total)
+    grads = {name: tape.grad(t) for name, t in tensors.items()}
+    backward_end = time.perf_counter()
+    adam_step(params.arrays, grads, opt)
+    return report, (forward_end - start, backward_end - forward_end,
+                    time.perf_counter() - backward_end)
+
+
 def pretrain(corpus, cfg: TrainConfig, *, metrics_path=None,
              init: PretrainResult | None = None) -> PretrainResult:
     """Run the pre-training loop and return the final parameters.
@@ -280,6 +299,7 @@ def pretrain(corpus, cfg: TrainConfig, *, metrics_path=None,
             raise ConfigMismatch("checkpoint encoder config differs from the requested one")
         params, opt, step, first_epoch = init.params, init.optimizer, init.step, init.epochs_done
     reports: list[LossReport] = []
+    epoch_means: dict[int, float] = {}
 
     metrics_fh = open(metrics_path, "a", encoding="utf-8") if metrics_path else None
     try:
@@ -291,30 +311,25 @@ def pretrain(corpus, cfg: TrainConfig, *, metrics_path=None,
             for b in range(n_batches):
                 chunk = [pairs[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
                 batch = Batch.build(chunk)
-                tape = Tape()
-                tensors = params.watched(tape)
-                enc = encode_batch(batch, tensors, cfg.encoder)
                 try:
-                    total, report = compute_step_losses(batch, enc, lcfg)
-                except NonFinite as err:
-                    raise NonFinite(f"step {step}: {err}") from err
-                tape.backward(total)
-                grads = {name: tape.grad(t) for name, t in tensors.items()}
-                adam_step(params.arrays, grads, opt)
+                    report, _ = train_step(params, opt, batch, lcfg)
+                except (NonFinite, ZeroNormRow) as err:
+                    raise type(err)(f"step {step}: {err}") from err
                 reports.append(report)
                 if metrics_fh is not None:
                     row = {"step": step, "epoch": epoch, **report.to_json_dict()}
                     metrics_fh.write(json.dumps(row, separators=(",", ":")) + "\n")
                 step += 1
-            log.info("epoch %d done, mean total loss %.6f", epoch,
-                     float(np.mean([r.l_total for r in reports[-max(1, n_batches):]])))
+            epoch_means[epoch] = float(np.mean([r.l_total for r in reports[-n_batches:]]))
+            log.info("epoch %d done, mean total loss %.6f", epoch, epoch_means[epoch])
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
     # a resume at or below the epochs already done trains nothing and must
     # not lower the count, or a later resume would repeat those epochs
     return PretrainResult(params=params, optimizer=opt, reports=reports,
-                          step=step, epochs_done=max(cfg.epochs, first_epoch))
+                          step=step, epochs_done=max(cfg.epochs, first_epoch),
+                          epoch_means=epoch_means)
 
 
 def embed_corpus(corpus, params: DualHelixParams, batch_size: int = 64) -> np.ndarray:

@@ -153,6 +153,15 @@ class TestPretrainCommand:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_zero_norm_row_names_the_step(self, tmp_path, capsys):
+        # a one-layer, width-4 encoder ends in a ReLU row of zeros at once
+        corpus = write_corpus(tmp_path, n=8)
+        code = main(["pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+                     "--depth", "1", "--hidden-dim", "4", "--batch-size", "4"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and "step 0" in err[0]
+
     def test_resume_without_checkpoint_exits_2(self, tmp_path):
         corpus = write_corpus(tmp_path)
         code = main(["pretrain", "--corpus", str(corpus), "--out",

@@ -1,10 +1,14 @@
+import importlib
 import json
 import logging
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from linecontrast import autodiff, encoder, losses, pipeline
+from linecontrast.autodiff import AdamState
 from linecontrast.checkpoint import ConfigMismatch, load_checkpoint, save_checkpoint
 from linecontrast.encoder import DualHelixParams, EncoderConfig, ViewMismatch, encode_batch
 from linecontrast.graphs import InvariantViolation, LineGraphView, make_graph, permute_nodes, to_line_graph
@@ -22,12 +26,15 @@ from linecontrast.pipeline import (
     pretrain,
     save_corpus,
     save_training_checkpoint,
+    train_step,
     transform_call_count,
     transform_corpus,
 )
 from linecontrast.synth import make_hard_negative_pair, random_molecular_graph
 
 from conftest import path3, single_edge, star, triangle
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 CFG = EncoderConfig(depth=2, hidden_dim=8, atomic_vocab=6, chirality_vocab=3,
                     bond_type_vocab=4, bond_direction_vocab=3)
@@ -209,6 +216,10 @@ class TestPretrain:
         assert first.step == 4
         assert resumed.step == 8
         assert len(resumed.reports) == 4  # only the two new epochs ran
+        assert resumed.epoch_means == {
+            2: np.mean([r.l_total for r in resumed.reports[:2]]),
+            3: np.mean([r.l_total for r in resumed.reports[2:]]),
+        }
         straight = pretrain(corpus, tiny_train_config(epochs=4, batch_size=8))
         for name in straight.params.arrays:
             assert np.array_equal(straight.params.arrays[name],
@@ -222,6 +233,47 @@ class TestPretrain:
         with pytest.raises(ConfigMismatch):
             pretrain(corpus, tiny_train_config(encoder=other),
                      init=load_training_checkpoint(ckpt))
+
+
+class TestTrainStep:
+    def test_one_pretrain_step_equals_train_step(self):
+        corpus = small_corpus(4)
+        cfg = tiny_train_config(epochs=1, shuffle=False)
+        result = pretrain(corpus, cfg)
+        params = DualHelixParams.initialize(CFG, cfg.seed)
+        opt = AdamState.for_params(params.arrays, learning_rate=cfg.learning_rate)
+        report, seconds = train_step(params, opt, Batch.build(transform_corpus(corpus)),
+                                     loss_config(cfg))
+        assert result.reports == [report]
+        assert len(seconds) == 3 and min(seconds) >= 0
+        assert opt.step == result.optimizer.step == 1
+        for name, arr in params.arrays.items():
+            assert np.array_equal(arr, result.params.arrays[name])
+            assert np.array_equal(opt.m[name], result.optimizer.m[name])
+            assert np.array_equal(opt.v[name], result.optimizer.v[name])
+
+    def test_benchmark_hooks_time_every_step_and_undo(self, monkeypatch):
+        # perfbench measures the step by replacing module attributes; a step
+        # that stopped calling them through pipeline's globals would go unseen
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        hooks = importlib.import_module("hooks")
+        owners = (pipeline, pipeline.Batch, encoder, losses, autodiff, autodiff.Tape)
+        before = [{k: v for k, v in vars(o).items() if k != "_transform_calls"}
+                  for o in owners]
+        clock, tracer, patches = hooks.StepClock(), hooks.Tracer(), hooks.Patches()
+        clock.install(patches)
+        tracer.set_step_mode("timed")
+        try:
+            result = pretrain(small_corpus(8), tiny_train_config(epochs=2))
+        finally:
+            tracer.remove()
+            patches.undo()
+        assert result.step == 4
+        assert len(clock.starts) == len(clock.ends) == result.step
+        assert tracer.counts["encoder.encode_batch"] == result.step
+        assert tracer.counts["autodiff.adam_step"] == result.step
+        for owner, saved in zip(owners, before):
+            assert [k for k, v in saved.items() if vars(owner)[k] is not v] == []
 
 
 class TestCheckpoint:
