@@ -335,21 +335,29 @@ def cosine_sim(a, b) -> Tensor:
 
 # --- fused contrastive cross-entropy -----------------------------------------
 #
-# Both kernels take square similarity blocks with the positives on the
-# diagonal and a boolean mask of each anchor's negatives. A row anchor i
-# contributes
+# Both kernels contrast the rows of a against the rows of b through the
+# similarities s = a b^T, with the positives on the diagonal and a set of
+# negatives for each anchor. A row anchor i contributes
 #     -s_ii / tau + logsumexp_{j in mask_i} s_ij / tau
 # (the positive joins the log-sum-exp when `inclusive`); anchors without
-# negatives are dropped. Its gradient is
+# negatives are dropped. Its gradient on s is
 # (softmax over the masked row - onehot(i)) / tau.
 #
-# masked_xent reads its matrix in both directions: column j anchors the
-# same way on s_jj against the rows that mask[:, j] sets. Forward already
-# holds both softmaxes, so it keeps their sum as the gradient and drops s.
-# Each direction takes its own exact max shift: one global shift would
-# underflow every exp once tau is small. block_xent runs one direction per
-# block and recomputes the softmax in backward, so no padded stack
-# outlives forward.
+# group_xent reads s = a b^T in both directions: column j anchors the same
+# way on s_jj against the rows of the other groups. It never holds s whole.
+# Pass 1 walks row tiles of s and carries each column's max and sum across
+# tiles with the online softmax update (Milakov & Gimelshein, 2018). Pass 2
+# walks the tiles in reverse order, so the last tile of pass 1 is reused
+# from its buffer and an s that fits one tile is formed once. It finishes
+# each row's log-sum-exp inside its tile and accumulates the gradients on
+# a and b, which are all the tape keeps.
+# Each row and each column takes its own exact max shift: one global shift
+# would underflow every exp once tau is small. block_xent runs one
+# direction per block and recomputes the softmax in backward, so no padded
+# stack outlives forward.
+
+TILE_ENTRIES = 1 << 18  # similarity entries per row tile of group_xent
+
 
 def _masked_logits(s: np.ndarray, neg_mask: np.ndarray, tau: float,
                    inclusive: bool) -> np.ndarray:
@@ -404,61 +412,106 @@ def _xent(s: np.ndarray, neg_mask: np.ndarray, tau: float, inclusive: bool):
     return total, k, grad
 
 
-def masked_xent(sims, neg_mask: np.ndarray, tau: float,
-                inclusive: bool = False) -> tuple[Tensor | None, int]:
-    """Summed contrastive cross-entropy of a square similarity matrix, read
-    in both directions.
+def group_xent(a, b, group_ids, tau: float,
+               inclusive: bool = False) -> tuple[Tensor | None, int]:
+    """Summed contrastive cross-entropy of s = a @ b.T read in both
+    directions, with the negatives of each anchor in the other groups.
 
-    Row i anchors with positive sims[i, i] against the columns that
-    neg_mask[i] sets; column j anchors with positive sims[j, j] against the
-    rows that neg_mask[:, j] sets. Returns (sum over the kept row and
-    column anchors as a 1 x 1 tensor, number of kept anchors), or (None, 0)
-    when no anchor has a negative. One tape node.
+    Rows of `a` and `b` are expected to be L2-normalised, so s holds cosine
+    similarities, and `group_ids` gives each row's group in sorted order.
+    Row i anchors with positive s_ii against the columns of other groups;
+    column j anchors with positive s_jj against the rows of other groups.
+    Returns (sum over all 2E anchor terms as a 1 x 1 tensor, 2E), or
+    (None, 0) when every row is in one group. One tape node; it holds at
+    most two row tiles of TILE_ENTRIES entries at a time.
     """
-    sims = _as_tensor(sims)
-    n = sims.shape[0]
-    if sims.shape != (n, n) or neg_mask.shape != (n, n):
-        raise ShapeMismatch(f"masked_xent: square sims and mask needed, "
-                            f"got {sims.shape} and {neg_mask.shape}")
-    keep_row = neg_mask.any(axis=1)
-    keep_col = neg_mask.any(axis=0)
-    k = int(np.count_nonzero(keep_row)) + int(np.count_nonzero(keep_col))
-    if k == 0:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"group_xent: {a.shape} vs {b.shape}")
+    n = a.shape[0]
+    ids = np.asarray(group_ids).reshape(-1)
+    if ids.size != n or (np.diff(ids) < 0).any():
+        raise ShapeMismatch(f"group_xent: need {n} sorted group ids, got {ids.size}")
+    if n == 0 or ids[0] == ids[-1]:
         return None, 0
-    s = sims.data
-    d = np.arange(n)
-    diag = s[d, d] * (1.0 / tau)
-    x = _masked_logits(s, neg_mask, tau, inclusive)
-    row_shift = _max_shift(x, 1)
-    col_shift = _max_shift(x, 0)
-    p = x - row_shift
-    np.exp(p, out=p)
-    x -= col_shift
-    np.exp(x, out=x)
-    row_sum = p.sum(axis=1)
-    col_sum = x.sum(axis=0)
-    total = float((np.log(row_sum[keep_row]) + row_shift[keep_row, 0]
-                   - diag[keep_row]).sum())
-    total += float((np.log(col_sum[keep_col]) + col_shift[0, keep_col]
-                    - diag[keep_col]).sum())
-    # dropped anchors scale by 0, so their softmax is exactly 0
-    p *= np.divide(1.0, row_sum, out=np.zeros(n), where=keep_row)[:, None]
-    x *= np.divide(1.0, col_sum, out=np.zeros(n), where=keep_col)
-    p += x
-    del x
-    p[d, d] -= keep_row
-    p[d, d] -= keep_col
+    a_data, b_data = a.data, b.data
+    a_tau = a_data * (1.0 / tau)  # s / tau comes out of the matmul
+    height = max(1, min(n, TILE_ENTRIES // n))
+    tiles = [(r0, min(r0 + height, n)) for r0 in range(0, n, height)]
+    x_buf = np.empty((height, n))
+    e_buf = np.empty((height, n))
+    diag = np.empty(n)
+
+    def logits(r0: int, r1: int, first_pass: bool) -> np.ndarray:
+        """The tile's s / tau, -inf where a row meets its own group (bar
+        the positive when inclusive); the first pass checks it and keeps
+        the positives."""
+        x = x_buf[:r1 - r0]
+        np.matmul(a_tau[r0:r1], b_data.T, out=x)
+        t = np.arange(r1 - r0)
+        if first_pass:
+            check_finite(x, "similarity")
+            diag[r0:r1] = x[t, r0 + t]
+        # sorted ids put the tile's own-group columns in one window
+        c0 = int(np.searchsorted(ids, ids[r0], "left"))
+        c1 = int(np.searchsorted(ids, ids[r1 - 1], "right"))
+        same = ids[r0:r1, None] == ids[None, c0:c1]
+        if inclusive:
+            same[t, r0 - c0 + t] = False
+        np.copyto(x[:, c0:c1], -np.inf, where=same)
+        return x
+
+    # pass 1: each column's max and sum of exp, carried across the tiles
+    col_max = np.full(n, -np.inf)
+    col_sum = np.zeros(n)
+    for r0, r1 in tiles:
+        x = logits(r0, r1, True)
+        e = e_buf[:r1 - r0]
+        new_max = np.maximum(col_max, x.max(axis=0))
+        # a column masked in every row so far has nothing to sum yet
+        shift = np.where(np.isneginf(new_max), 0.0, new_max)
+        col_sum *= np.exp(col_max - shift)
+        np.subtract(x, shift, out=e)
+        np.exp(e, out=e)
+        col_sum += e.sum(axis=0)
+        col_max = new_max
+    lse_col = np.log(col_sum) + col_max
+
+    # pass 2: each row's log-sum-exp within its tile, and the gradient on s,
+    # P_row + P_col - 2 on the diagonal (times g / tau), carried to a and b
+    lse_row = np.empty(n)
+    ga = np.empty_like(a_data)
+    gb_t = np.zeros((a.shape[1], n))
+    for k, (r0, r1) in enumerate(reversed(tiles)):
+        x = x_buf[:r1 - r0] if k == 0 else logits(r0, r1, False)
+        e = e_buf[:r1 - r0]
+        row_max = x.max(axis=1, keepdims=True)
+        np.subtract(x, row_max, out=e)
+        np.exp(e, out=e)
+        row_sum = e.sum(axis=1, keepdims=True)
+        lse_row[r0:r1] = np.log(row_sum[:, 0]) + row_max[:, 0]
+        e *= 1.0 / row_sum
+        x -= lse_col
+        np.exp(x, out=x)
+        e += x
+        t = np.arange(r1 - r0)
+        e[t, r0 + t] -= 2.0
+        np.matmul(e, b_data, out=ga[r0:r1])
+        gb_t += a_data[r0:r1].T @ e
+    total = float((lse_row - diag).sum()) + float((lse_col - diag).sum())
 
     def backward(g):
-        return (p * (float(g[0, 0]) / tau),)
+        c = float(g[0, 0]) / tau
+        return ga * c, gb_t.T * c
 
-    return _apply(_tape_of(sims), np.array([[total]]), (sims,), backward), k
+    return _apply(_tape_of(a, b), np.array([[total]]), (a, b), backward), 2 * n
 
 
 def block_xent(a, b, offsets: np.ndarray, tau: float,
                inclusive: bool = False) -> tuple[Tensor | None, int]:
-    """masked_xent of a @ b.T restricted to the diagonal blocks that
-    `offsets` cuts out, without forming the off-block entries.
+    """One-direction contrastive cross-entropy of a @ b.T restricted to the
+    diagonal blocks that `offsets` cuts out, without forming the off-block
+    entries.
 
     Rows offsets[g]:offsets[g + 1] of `a` and `b` form block g; rows are
     expected to be L2-normalised, so the products are cosine similarities.

@@ -4,11 +4,13 @@ Timers wrap only the measured call; corpus generation and I/O stay
 outside. Transform mode fits a log-log growth exponent of time against
 total edge count, which should sit near 1 for bounded-degree graphs.
 Train-step mode splits one step into forward, backward, and optimizer
-phases and records that the corpus transformation ran exactly once.
+phases, records that the corpus transformation ran exactly once, and
+reports the process's peak resident set size.
 """
 
 from __future__ import annotations
 
+import resource
 import time
 from dataclasses import dataclass, field
 
@@ -72,6 +74,7 @@ class TrainStepBenchReport:
     forward_seconds: list[float] = field(default_factory=list)
     backward_seconds: list[float] = field(default_factory=list)
     optimizer_seconds: list[float] = field(default_factory=list)
+    peak_rss_mb: float = 0.0
 
     def lines(self) -> list[str]:
         return [
@@ -82,6 +85,7 @@ class TrainStepBenchReport:
             f"forward_seconds_mean={np.mean(self.forward_seconds):.4f}",
             f"backward_seconds_mean={np.mean(self.backward_seconds):.4f}",
             f"optimizer_seconds_mean={np.mean(self.optimizer_seconds):.4f}",
+            f"peak_rss_mb={self.peak_rss_mb:.1f}",
         ]
 
 
@@ -110,4 +114,6 @@ def bench_train_step(n_graphs: int = 48, batch_size: int = 16, steps: int = 4,
         report.forward_seconds.append(forward_s)
         report.backward_seconds.append(backward_s)
         report.optimizer_seconds.append(adam_s)
+    # ru_maxrss is in KiB on Linux: the whole process's peak, corpus included
+    report.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return report

@@ -161,15 +161,12 @@ def _primitive_cases(rng: np.random.Generator) -> dict[str, list[Case]]:
         (lambda t: _scalarize(ad.cosine_sim(t["a"], t["b"]), w33),
          {"a": mat(3, 4) + 0.1, "b": mat(3, 4) - 0.1}),
     ]
-    # an asymmetric mask: row 2 and column 3 have no negatives and drop out
-    # of their direction, also in the inclusive case
-    neg_mask = np.array([[False, True, True, False],
-                         [True, False, False, False],
-                         [False, False, False, False],
-                         [True, True, False, False]])
-    cases["masked_xent"] = [
-        (lambda t, inclusive=inclusive: ad.masked_xent(t["s"], neg_mask, 0.5, inclusive)[0],
-         {"s": mat(4, 4)})
+    # groups of unequal size, the first of them wider than one row
+    group_ids = np.array([0, 0, 0, 1, 2, 2])
+    cases["group_xent"] = [
+        (lambda t, inclusive=inclusive: ad.group_xent(t["a"], t["b"], group_ids, 0.5,
+                                                      inclusive)[0],
+         {"a": mat(6, 3), "b": mat(6, 3)})
         for inclusive in (False, True)
     ]
     # a one-row block (drops out) beside blocks of unequal size (padding)
@@ -219,11 +216,6 @@ def _objective_case(seed: int) -> Case:
         return compute_step_losses(batch, encode_batch(batch, tensors, cfg), LossConfig())[0]
 
     return build, params.arrays
-
-
-def component_names() -> list[str]:
-    rng = np.random.default_rng(0)
-    return list(_primitive_cases(rng)) + list(_loss_cases(rng)) + ["objective"]
 
 
 def run_gradcheck(seed: int = 0, tolerance: float = DEFAULT_TOLERANCE,

@@ -22,10 +22,10 @@ from .autodiff import (
     Tensor,
     block_xent,
     check_finite,
-    cosine_sim,
+    cosine_sim,  # noqa: F401  -- perfbench/hooks.py counts losses.cosine_sim
     gather_rows,  # noqa: F401  -- perfbench/hooks.py times losses.gather_rows
+    group_xent,
     l2_normalize_rows,
-    masked_xent,
     scale,
 )
 
@@ -72,10 +72,6 @@ class LossReport:
         }
 
 
-def _graph_ids(offsets: np.ndarray) -> np.ndarray:
-    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-
-
 def nt_xent(z1: Tensor, z2: Tensor, tau: float,
             inclusive: bool = False) -> tuple[Tensor, int]:
     """Cross-view contrastive loss over graph representations.
@@ -89,13 +85,9 @@ def nt_xent(z1: Tensor, z2: Tensor, tau: float,
     n = z1.shape[0]
     if n < 2:
         raise BatchTooSmall(f"need at least 2 rows, got {n}")
-    neg = ~np.eye(n, dtype=bool)
-    s12 = cosine_sim(z1, z2)
-    check_finite(s12.data, "similarity")
-    total, k = masked_xent(s12, neg, tau, inclusive)
-    loss = scale(total, 1.0 / k)
-    check_finite(loss.data, "loss")
-    return loss, k
+    total, k = group_xent(l2_normalize_rows(z1), l2_normalize_rows(z2), np.arange(n),
+                          tau, inclusive)
+    return scale(total, 1.0 / k), k
 
 
 def intra_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
@@ -130,17 +122,12 @@ def inter_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
     """
     if edge_repr.shape != line_repr.shape:
         raise ValueError(f"row-aligned inputs required: {edge_repr.shape} vs {line_repr.shape}")
-    n_graphs = len(edge_offsets) - 1
-    if n_graphs < 2:
-        raise BatchTooSmall(f"need at least 2 graphs, got {n_graphs}")
-    ids = _graph_ids(edge_offsets)
-    neg = ids[:, None] != ids[None, :]
-    s12 = cosine_sim(edge_repr, line_repr)
-    check_finite(s12.data, "similarity")
-    total, k = masked_xent(s12, neg, tau, inclusive)
-    loss = scale(total, 1.0 / k)
-    check_finite(loss.data, "loss")
-    return loss, k
+    sizes = np.diff(edge_offsets)
+    total, k = group_xent(l2_normalize_rows(edge_repr), l2_normalize_rows(line_repr),
+                          np.repeat(np.arange(sizes.size), sizes), tau, inclusive)
+    if total is None:
+        raise BatchTooSmall(f"need edges in at least 2 graphs, got {np.count_nonzero(sizes)}")
+    return scale(total, 1.0 / k), k
 
 
 def combine(l_graph: float, l_intra: float, l_inter: float, cfg: LossConfig,

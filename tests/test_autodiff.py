@@ -200,9 +200,12 @@ class TestRowScatterKernel:
         assert not g.any()
 
 
-def two_direction_reference(s, mask, tau, inclusive):
-    """Plain numpy: the row log-sum-exp terms of s with mask plus those of
-    s.T with mask.T, and the gradient of their sum with respect to s."""
+def two_direction_reference(a, b, ids, tau, inclusive):
+    """Plain numpy: the row log-sum-exp terms of s = a @ b.T with the
+    other-group mask plus those of s.T, and the gradient of their sum with
+    respect to a and b."""
+    s = a @ b.T
+    mask = ids[:, None] != ids[None, :]
     eye = np.eye(len(s), dtype=bool)
     total, count, grad = 0.0, 0, np.zeros_like(s)
     for m, t, flip in ((mask, s, False), (mask.T, s.T, True)):
@@ -215,29 +218,39 @@ def two_direction_reference(s, mask, tau, inclusive):
         g = np.zeros_like(s)
         g[keep] = (np.exp(logits - lse[:, None]) - eye[keep]) / tau
         grad += g.T if flip else g
-    return total, count, grad
+    return total, count, grad @ b, grad.T @ a
 
 
 class TestMaskedXent:
+    """The masked contrastive cross-entropy kernels: group_xent, which
+    masks by group id, and block_xent."""
+
     @pytest.mark.parametrize("inclusive", [False, True])
     def test_matches_two_direction_reference(self, rng, inclusive):
-        s = rng.standard_normal((5, 5))
-        mask = rng.random((5, 5)) < 0.5  # not symmetric
-        mask[np.arange(5), [1, 2, 3, 4, 0]] = True
-        mask[3] = False  # a row anchor without negatives
-        mask[:, 1] = False  # a column anchor without negatives
+        # groups of unequal size, rows not normalised: the kernel's rule
+        # holds for any a and b
+        a = rng.standard_normal((5, 3))
+        b = rng.standard_normal((5, 3))
+        ids = np.array([0, 0, 1, 3, 3])
         tape = Tape()
-        x = tape.watch(s)
-        total, count = ad.masked_xent(x, mask, 0.5, inclusive)
+        ta, tb = tape.watch(a), tape.watch(b)
+        total, count = ad.group_xent(ta, tb, ids, 0.5, inclusive)
         tape.backward(total)
-        want_total, want_count, want_grad = two_direction_reference(s, mask, 0.5, inclusive)
-        assert count == want_count == 8
+        want_total, want_count, want_ga, want_gb = two_direction_reference(a, b, ids, 0.5,
+                                                                            inclusive)
+        assert count == want_count == 10
         assert abs(total.item() - want_total) < 1e-12
-        assert np.abs(tape.grad(x) - want_grad).max() < 1e-12
+        assert np.abs(tape.grad(ta) - want_ga).max() < 1e-12
+        assert np.abs(tape.grad(tb) - want_gb).max() < 1e-12
 
     def test_no_negatives_anywhere_gives_none(self):
-        assert ad.masked_xent(ad.constant(np.eye(3)), np.zeros((3, 3), dtype=bool),
-                              0.5) == (None, 0)
+        x = ad.constant(np.eye(3))
+        assert ad.group_xent(x, x, np.array([2, 2, 2]), 0.5) == (None, 0)
+
+    def test_group_ids_must_be_sorted(self):
+        x = ad.constant(np.eye(3))
+        with pytest.raises(ShapeMismatch):
+            ad.group_xent(x, x, np.array([0, 1, 0]), 0.5)
 
     def test_block_offsets_must_cover_the_rows(self):
         x = ad.constant(np.eye(3))

@@ -300,6 +300,8 @@ class TestBenchCommand:
         text = capsys.readouterr().out
         assert "transform_calls=1" in text
         assert "backward_seconds_mean=" in text
+        rss = [line for line in text.splitlines() if "peak_rss_mb=" in line]
+        assert len(rss) == 1 and float(rss[0].split("peak_rss_mb=")[1]) > 0
 
 
 class TestConfigResolution:

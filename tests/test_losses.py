@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from linecontrast.autodiff import Tape, constant, masked_xent
+from linecontrast import autodiff as ad
+from linecontrast.autodiff import Tape, constant, group_xent
 from linecontrast.losses import (
     BatchTooSmall,
     LossConfig,
@@ -143,6 +145,11 @@ class TestInterLocal:
         h = constant(np.eye(3))
         with pytest.raises(BatchTooSmall):
             inter_local(h, h, np.array([0, 3]), TAU)
+
+    def test_needs_edges_in_two_graphs(self):
+        h = constant(np.eye(3))
+        with pytest.raises(BatchTooSmall, match="got 1"):
+            inter_local(h, h, np.array([0, 3, 3]), TAU)
 
     def test_nan_edge_representation_raises(self):
         e = np.eye(3)
@@ -305,20 +312,80 @@ class TestDenseOracle:
 
 class TestMonotoneContrast:
     def test_raising_positive_similarity_lowers_the_term(self, rng):
-        # fixed asymmetric negatives, so the row and the column that read
-        # the swept positive see different denominators
-        neg_mask = ~np.eye(3, dtype=bool)
-        off_diagonal = rng.uniform(-0.5, 0.5, (3, 3))
+        # a_0 = e_0 and b_0 turns from e_1 towards e_0, so the sweep moves
+        # s_00 alone: the other rows of a avoid e_0 and e_1. The other rows
+        # of b do not, so the row and the column that read the swept
+        # positive see different denominators
+        a = np.zeros((3, 5))
+        a[0, 0] = 1.0
+        a[1:, 2:] = rng.standard_normal((2, 3))
+        b = rng.standard_normal((3, 5))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
         for inclusive in (False, True):
             previous = None
             for pos in (-0.5, 0.0, 0.4, 0.9, 1.0):
-                sims = off_diagonal.copy()
-                sims[0, 0] = pos
-                total, count = masked_xent(constant(sims), neg_mask, TAU, inclusive)
+                b[0] = [pos, math.sqrt(1.0 - pos * pos), 0.0, 0.0, 0.0]
+                total, count = group_xent(constant(a), constant(b), np.arange(3), TAU,
+                                          inclusive)
                 assert count == 6  # three row and three column anchors
                 if previous is not None:
                     assert total.item() < previous
                 previous = total.item()
+
+
+class TestGroupXentTiles:
+    """The tiled kernel in 1-row tiles, 3-row tiles and one tile."""
+
+    # a first group of four rows: the first tile masks all of its columns,
+    # so their online column max starts at -inf
+    OFFSETS = np.array([0, 4, 5, 8, 15, 17, 23])
+
+    @staticmethod
+    def _in_tiles(monkeypatch, rows, fn, *args):
+        monkeypatch.setattr(ad, "TILE_ENTRIES", rows * len(args[0]))
+        return TestDenseOracle._tape_loss(fn, *args)
+
+    @staticmethod
+    def _assert_close(got, want, tau):
+        assert got[1] == want[1]
+        assert abs(got[0] - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
+        assert np.abs(got[2] - want[2]).max() < 1e-12 / tau
+        assert np.abs(got[3] - want[3]).max() < 1e-12 / tau
+
+    @pytest.mark.parametrize("tau", [0.1, 1e-3])
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_tilings_agree_with_each_other_and_the_oracle(self, rng, monkeypatch, tau,
+                                                         inclusive):
+        e = rng.standard_normal((self.OFFSETS[-1], 5))
+        l = rng.standard_normal((self.OFFSETS[-1], 5))
+        ids = np.repeat(np.arange(len(self.OFFSETS) - 1), np.diff(self.OFFSETS))
+        z1 = rng.standard_normal((12, 4))
+        z2 = rng.standard_normal((12, 4))
+        for fn, args, neg in (
+            (inter_local, (e, l, self.OFFSETS, tau, inclusive), ids[:, None] != ids[None, :]),
+            (nt_xent, (z1, z2, tau, inclusive), ~np.eye(12, dtype=bool)),
+        ):
+            want = _dense_oracle(args[0], args[1], neg, tau, inclusive, both_directions=True)
+            whole = self._in_tiles(monkeypatch, len(args[0]), fn, *args)
+            self._assert_close(whole, want, tau)
+            for rows in (1, 3):
+                self._assert_close(self._in_tiles(monkeypatch, rows, fn, *args), whole, tau)
+
+    def test_inter_local_never_holds_an_e_by_e_array(self, rng):
+        offsets = np.arange(0, 2001, 20)  # 100 graphs of 20 edges
+        tape = Tape()
+        e = tape.watch(rng.standard_normal((2000, 32)))
+        l = tape.watch(rng.standard_normal((2000, 32)))
+        tracemalloc.start()
+        try:
+            loss, _ = inter_local(e, l, offsets, TAU)
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.abs(tape.grad(e)).sum() > 0
+        assert peak < 2000 * 2000 * 8, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestSmallTemperature:
