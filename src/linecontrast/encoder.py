@@ -1,12 +1,21 @@
 """Dual message-passing encoder over a graph and its line graph.
 
-Both helices run the same edge-attributed update in lockstep. Layer 0
+Both helices run the same edge-attributed GIN update in lockstep. Layer 0
 embeds raw edge attributes; from layer 1 on (when fusion is enabled) each
 helix's edge attributes are the other helix's node states from the
-previous layer: the graph side reads the line-node vector of each edge,
-the line side reads the shared source node's vector of each line-edge.
-Node rows of the line helix are aligned one-to-one with edge rows of the
-graph helix, which is what makes the exchange a plain row lookup.
+previous layer: the graph side reads the line-node vector of each edge
+(line node k is source edge k), the line side reads, for each line edge,
+the vector of the source node its two edges share.
+
+Both helices run on the source graph's edge list; the line graph's own
+arcs are never built. The graph helix sums one message per arc of the
+source edges. For the line helix, let B be the V x E incidence matrix of
+the source graph: the line graph's adjacency is B^T B - 2I, so line node
+e = (u, v) neighbours the other edges at u and at v, and the line edge
+to each carries the shared node's vector x. Its neighbour sum is
+T[u] + T[v] - 2 h_e with T = B h + (deg - 1) x: one scatter of the
+line-node rows into both endpoints, a degree-weighted node term and two
+row lookups.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .autodiff import (
     matmul,
     mul,
     relu,
+    scale,
     scatter_add_rows,
 )
 
@@ -183,10 +193,10 @@ def embed_pair(feats: np.ndarray, table_a: Tensor, table_b: Tensor,
 
 @dataclass
 class InitialEmbeddings:
-    graph_nodes: Tensor
-    graph_edges: Tensor
-    line_nodes: Tensor
-    line_edges: Tensor
+    graph_nodes: Tensor   # sum(V) x d
+    graph_edges: Tensor   # sum(E) x d
+    line_nodes: Tensor    # sum(E) x d
+    line_edges: Tensor    # sum(V) x d, row v is what every line edge sharing node v carries
 
 
 def embed_inputs(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> InitialEmbeddings:
@@ -194,7 +204,8 @@ def embed_inputs(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> Initia
 
     Line-node features equal the source edge features, so the line helix's
     node tables are bond tables; its edge features are the shared source
-    node's features, so its layer-0 edge tables are atom tables.
+    node's features, so its layer-0 edge tables are atom tables, looked up
+    once per source node.
     """
     node_sizes = (cfg.atomic_vocab, cfg.chirality_vocab)
     edge_sizes = (cfg.bond_type_vocab, cfg.bond_direction_vocab)
@@ -204,28 +215,16 @@ def embed_inputs(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> Initia
                          params["graph.layer0.edge.bond_direction"], edge_sizes, "edge")
     l_nodes = embed_pair(batch.edge_feat, params["line.embed.bond_type"],
                          params["line.embed.bond_direction"], edge_sizes, "line node")
-    line_edge_feat = batch.node_feat[batch.line_edge_origin]
-    l_edges = embed_pair(line_edge_feat, params["line.layer0.edge.atomic"],
+    l_edges = embed_pair(batch.node_feat, params["line.layer0.edge.atomic"],
                          params["line.layer0.edge.chirality"], node_sizes, "line edge")
     return InitialEmbeddings(g_nodes, g_edges, l_nodes, l_edges)
 
 
-def gin_layer(h: Tensor, edge_attr: Tensor, arc_src: np.ndarray, arc_dst: np.ndarray,
-              arc_edge: np.ndarray, num_nodes: int, self_loop: Tensor, mlp: Mlp) -> Tensor:
-    """One update: relu(MLP(h_v + sum of neighbor states + sum of incident
-    edge attributes + self-loop vector)).
-
-    Arcs list each undirected edge twice (once per direction), so every
-    edge attribute reaches each endpoint exactly once. Each arc carries
-    the message h[src] + edge_attr[edge]; one scatter sums the messages
-    into their destinations.
-    """
-    pre = h
-    if len(arc_src):
-        messages = add(gather_rows(h, arc_src), gather_rows(edge_attr, arc_edge))
-        pre = add(pre, scatter_add_rows(messages, arc_dst, num_nodes))
-    pre = add(pre, self_loop)
-    return relu(mlp(pre))
+def gin_layer(h: Tensor, neighbours: Tensor, self_loop: Tensor, mlp: Mlp) -> Tensor:
+    """One update: relu(MLP(h_v + neighbours_v + self-loop vector)), where
+    neighbours_v sums, over the neighbours w of v, h_w plus the attribute
+    of the edge joining them."""
+    return relu(mlp(add(add(h, neighbours), self_loop)))
 
 
 @dataclass
@@ -271,6 +270,14 @@ def encode_batch(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> BatchE
     raw attributes through its own layer tables.
     """
     init = embed_inputs(batch, params, cfg)
+    num_nodes = batch.num_nodes
+    u, v = batch.edges[:, 0], batch.edges[:, 1]
+    # arc i runs from ends[i] to across[i] along edge edge_of[i]; the pairs
+    # (ends[i], edge_of[i]) are also the nonzeros of the incidence matrix B
+    ends = np.concatenate([u, v])
+    across = np.concatenate([v, u])
+    edge_of = np.tile(np.arange(batch.num_edges), 2)
+    deg_less_one = constant(np.bincount(ends, minlength=num_nodes)[:, None] - 1.0)
     g_hist = [init.graph_nodes]
     l_hist = [init.line_nodes]
     node_sizes = (cfg.atomic_vocab, cfg.chirality_vocab)
@@ -279,23 +286,24 @@ def encode_batch(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> BatchE
         if c == 0:
             g_eattr, l_eattr = init.graph_edges, init.line_edges
         elif cfg.edge_fusion:
-            g_eattr = l_hist[c - 1]
-            l_eattr = gather_rows(g_hist[c - 1], batch.line_edge_origin)
+            g_eattr, l_eattr = l_hist[c - 1], g_hist[c - 1]
         else:
             g_eattr = embed_pair(batch.edge_feat, params[f"graph.layer{c}.edge.bond_type"],
                                  params[f"graph.layer{c}.edge.bond_direction"],
                                  edge_sizes, "edge")
-            l_eattr = embed_pair(batch.node_feat[batch.line_edge_origin],
-                                 params[f"line.layer{c}.edge.atomic"],
+            l_eattr = embed_pair(batch.node_feat, params[f"line.layer{c}.edge.atomic"],
                                  params[f"line.layer{c}.edge.chirality"],
                                  node_sizes, "line edge")
-        g_hist.append(gin_layer(g_hist[c], g_eattr, batch.g_arc_src, batch.g_arc_dst,
-                                batch.g_arc_edge, batch.num_nodes,
-                                params[f"graph.layer{c}.self_loop"],
+        h, e = g_hist[c], l_hist[c]
+        g_messages = add(gather_rows(h, ends), gather_rows(g_eattr, edge_of))
+        g_neighbours = scatter_add_rows(g_messages, across, num_nodes)
+        # T = B e + (deg - 1) x; line node (u, v) sums T[u] + T[v] - 2 e
+        t = add(scatter_add_rows(gather_rows(e, edge_of), ends, num_nodes),
+                mul(l_eattr, deg_less_one))
+        l_neighbours = add(add(gather_rows(t, u), gather_rows(t, v)), scale(e, -2.0))
+        g_hist.append(gin_layer(h, g_neighbours, params[f"graph.layer{c}.self_loop"],
                                 _layer_mlp(params, "graph", c)))
-        l_hist.append(gin_layer(l_hist[c], l_eattr, batch.l_arc_src, batch.l_arc_dst,
-                                batch.l_arc_edge, batch.num_edges,
-                                params[f"line.layer{c}.self_loop"],
+        l_hist.append(gin_layer(e, l_neighbours, params[f"line.layer{c}.self_loop"],
                                 _layer_mlp(params, "line", c)))
     h_graph = g_hist[-1]
     h_line = l_hist[-1]

@@ -54,11 +54,11 @@ def transform_call_count() -> int:
 
 @dataclass
 class Batch:
-    """Disjoint union of graphs and their line graphs with row offsets.
+    """Disjoint union of source graphs with row offsets.
 
-    Node rows of the line view are aligned one-to-one with edge rows of the
-    graph view; arc arrays list each undirected edge in both directions for
-    the message-passing scatters.
+    Line node k of the batch is source edge k, so the line views add no
+    rows of their own: their structure follows from `edges`, and the
+    encoder derives it there.
     """
 
     n_graphs: int
@@ -67,13 +67,6 @@ class Batch:
     edge_feat: np.ndarray      # sum(E) x 2 int
     node_offsets: np.ndarray   # N + 1
     edge_offsets: np.ndarray   # N + 1
-    line_edge_origin: np.ndarray  # sum(EL) global source node ids
-    g_arc_src: np.ndarray = field(repr=False, default=None)
-    g_arc_dst: np.ndarray = field(repr=False, default=None)
-    g_arc_edge: np.ndarray = field(repr=False, default=None)
-    l_arc_src: np.ndarray = field(repr=False, default=None)
-    l_arc_dst: np.ndarray = field(repr=False, default=None)
-    l_arc_edge: np.ndarray = field(repr=False, default=None)
 
     @property
     def num_nodes(self) -> int:
@@ -88,7 +81,6 @@ class Batch:
         if not pairs:
             raise ValueError("cannot batch zero graphs")
         node_feat, edges, edge_feat = [], [], []
-        line_edges, line_origin = [], []
         node_off = [0]
         edge_off = [0]
         for g, view in pairs:
@@ -100,37 +92,19 @@ class Batch:
                 raise ViewMismatch("line nodes are not in source-edge order")
             if any(not (0 <= v < g.num_nodes) for v in view.edge_origin):
                 raise ViewMismatch("edge origin references a missing source node")
-            base_n, base_e = node_off[-1], edge_off[-1]
+            base_n = node_off[-1]
             node_feat.extend(g.node_features)
             edge_feat.extend(g.edge_features)
             edges.extend((u + base_n, v + base_n) for u, v in g.edges)
-            line_edges.extend((a + base_e, b + base_e) for a, b in lg.edges)
-            line_origin.extend(v + base_n for v in view.edge_origin)
             node_off.append(base_n + g.num_nodes)
-            edge_off.append(base_e + g.num_edges)
-
-        def arcs(pair_array: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            if len(pair_array) == 0:
-                empty = np.zeros(0, dtype=np.int64)
-                return empty, empty.copy(), empty.copy()
-            ids = np.arange(len(pair_array), dtype=np.int64)
-            src = np.concatenate([pair_array[:, 0], pair_array[:, 1]])
-            dst = np.concatenate([pair_array[:, 1], pair_array[:, 0]])
-            return src, dst, np.concatenate([ids, ids])
-
-        edges_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        g_src, g_dst, g_edge = arcs(edges_arr)
-        l_src, l_dst, l_edge = arcs(np.asarray(line_edges, dtype=np.int64).reshape(-1, 2))
+            edge_off.append(edge_off[-1] + g.num_edges)
         return cls(
             n_graphs=len(pairs),
             node_feat=np.asarray(node_feat, dtype=np.int64).reshape(-1, 2),
-            edges=edges_arr,
+            edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
             edge_feat=np.asarray(edge_feat, dtype=np.int64).reshape(-1, 2),
             node_offsets=np.asarray(node_off, dtype=np.int64),
             edge_offsets=np.asarray(edge_off, dtype=np.int64),
-            line_edge_origin=np.asarray(line_origin, dtype=np.int64),
-            g_arc_src=g_src, g_arc_dst=g_dst, g_arc_edge=g_edge,
-            l_arc_src=l_src, l_arc_dst=l_dst, l_arc_edge=l_edge,
         )
 
 

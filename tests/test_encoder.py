@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linecontrast.autodiff import Tape
+from linecontrast.autodiff import Tape, constant
 from linecontrast.encoder import (
     DualHelixParams,
     EmptyGraph,
@@ -20,7 +20,7 @@ from linecontrast.graphs import make_graph, permute_nodes, to_line_graph
 from linecontrast.pipeline import Batch
 from linecontrast.synth import random_molecular_graph
 
-from conftest import path3, single_edge, triangle
+from conftest import path3, single_edge, star, triangle
 
 CFG = EncoderConfig(depth=3, hidden_dim=8, atomic_vocab=6, chirality_vocab=3,
                     bond_type_vocab=4, bond_direction_vocab=3)
@@ -124,18 +124,19 @@ class TestGinLayer:
         return Mlp(c[f"{helix}.layer{layer}.mlp1.w"], c[f"{helix}.layer{layer}.mlp1.b"],
                    c[f"{helix}.layer{layer}.mlp2.w"], c[f"{helix}.layer{layer}.mlp2.b"])
 
-    def test_isolated_node_sees_only_self_and_loop(self, rng):
-        from linecontrast.autodiff import constant
-        p = params_for()
-        h = rng.standard_normal((1, CFG.hidden_dim))
-        empty = np.zeros(0, dtype=np.int64)
-        consts = p.as_constants()
-        out = gin_layer(constant(h), constant(np.zeros((0, CFG.hidden_dim))),
-                        empty, empty, empty, 1, consts["graph.layer0.self_loop"], self.mlp(p))
-        acc = h[0] + p.arrays["graph.layer0.self_loop"][0]
+    def test_isolated_node_sees_only_self_and_loop(self):
+        # node 2 meets no edge, so the aggregation the encoder derives from
+        # the edge list must leave it its own state and the self-loop
+        cfg = EncoderConfig(depth=1, hidden_dim=8, atomic_vocab=6, chirality_vocab=3,
+                            bond_type_vocab=4, bond_direction_vocab=3)
+        g = make_graph([[1, 0], [2, 1], [4, 2]], [(0, 1)], [[3, 1]])
+        p = params_for(cfg)
+        enc = encode_batch(batch_of(g, cfg=cfg), p.as_constants(), cfg)
+        acc = (p.arrays["graph.embed.atomic"][4] + p.arrays["graph.embed.chirality"][2]
+               + p.arrays["graph.layer0.self_loop"][0])
         z = np.maximum(acc @ p.arrays["graph.layer0.mlp1.w"] + p.arrays["graph.layer0.mlp1.b"][0], 0)
         expected = np.maximum(z @ p.arrays["graph.layer0.mlp2.w"] + p.arrays["graph.layer0.mlp2.b"][0], 0)
-        assert np.allclose(out.data[0], expected, atol=1e-12)
+        np.testing.assert_allclose(enc.node_embeddings.data[2], expected, rtol=0, atol=1e-12)
 
     def test_symmetric_pair_produces_identical_rows(self):
         g = make_graph([[1, 1], [1, 1]], [(0, 1)], [[2, 0]])
@@ -145,20 +146,21 @@ class TestGinLayer:
 
     def test_matches_loop_oracle_on_random_graph(self):
         g = rand_graph(11)
-        view = to_line_graph(g)
         p = params_for(seed=4)
-        batch = Batch.build([(g, view)])
-        init = embed_inputs(batch, p.as_constants(), CFG)
-        out = gin_layer(init.graph_nodes, init.graph_edges, batch.g_arc_src,
-                        batch.g_arc_dst, batch.g_arc_edge, batch.num_nodes,
-                        p.as_constants()["graph.layer0.self_loop"], self.mlp(p))
+        init = embed_inputs(batch_of(g), p.as_constants(), CFG)
         d = CFG.hidden_dim
         h0 = embed_rows(g.node_features, p.arrays["graph.embed.atomic"],
                         p.arrays["graph.embed.chirality"], d)
         e0 = embed_rows(g.edge_features, p.arrays["graph.layer0.edge.bond_type"],
                         p.arrays["graph.layer0.edge.bond_direction"], d)
+        neighbours = np.zeros_like(h0)
+        for k, (u, v) in enumerate(g.edges):
+            neighbours[u] += h0[v] + e0[k]
+            neighbours[v] += h0[u] + e0[k]
+        out = gin_layer(init.graph_nodes, constant(neighbours),
+                        p.as_constants()["graph.layer0.self_loop"], self.mlp(p))
         expected = gin_loop(g, h0, e0, p.arrays, "graph", 0)
-        assert np.allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
 
 class TestEncodeDual:
@@ -173,6 +175,28 @@ class TestEncodeDual:
         g_hist, l_hist = reference_dual_forward(g, view, p.arrays, cfg)
         assert np.allclose(enc.node_embeddings.data, g_hist[-1], atol=1e-12)
         assert np.allclose(enc.line_node_embeddings.data, l_hist[-1], atol=1e-12)
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    def test_multi_graph_batch_matches_reference_loop_forward(self, fusion):
+        # a degree-7 hub gives line edges weighted (deg - 1) = 6 and a line
+        # node with six neighbours; the single edge's line node has none
+        cfg = EncoderConfig(depth=3, hidden_dim=8, atomic_vocab=6, chirality_vocab=3,
+                            bond_type_vocab=4, bond_direction_vocab=3, edge_fusion=fusion)
+        graphs = [star(7), single_edge(), rand_graph(23, cfg)]
+        views = [to_line_graph(g) for g in graphs]
+        p = params_for(cfg, seed=10)
+        enc = encode_batch(Batch.build(list(zip(graphs, views))), p.as_constants(), cfg)
+        node_row = edge_row = 0
+        for g, view in zip(graphs, views):
+            g_hist, l_hist = reference_dual_forward(g, view, p.arrays, cfg)
+            np.testing.assert_allclose(
+                enc.node_embeddings.data[node_row:node_row + g.num_nodes], g_hist[-1],
+                rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                enc.line_node_embeddings.data[edge_row:edge_row + g.num_edges], l_hist[-1],
+                rtol=0, atol=1e-12)
+            node_row += g.num_nodes
+            edge_row += g.num_edges
 
     def test_depth_one_ignores_the_other_helix(self):
         cfg = EncoderConfig(depth=1, hidden_dim=8, atomic_vocab=6, chirality_vocab=3,
@@ -305,21 +329,18 @@ class TestReadout:
 
 class TestProject:
     def test_identity_head_passes_non_negative_inputs(self):
-        from linecontrast.autodiff import constant
         h = np.abs(np.random.default_rng(0).standard_normal((3, 4)))
         eye = constant(np.eye(4))
         out = project(constant(h), eye, eye)
         assert np.allclose(out.data, h, atol=1e-15)
 
     def test_zero_second_map_kills_output(self, rng):
-        from linecontrast.autodiff import constant
         out = project(constant(rng.standard_normal((3, 4))),
                       constant(rng.standard_normal((4, 4))),
                       constant(np.zeros((4, 4))))
         assert np.array_equal(out.data, np.zeros((3, 4)))
 
     def test_matches_two_affine_loop(self, rng):
-        from linecontrast.autodiff import constant
         h = rng.standard_normal((5, 4))
         w1 = rng.standard_normal((4, 4))
         w2 = rng.standard_normal((4, 4))
@@ -330,7 +351,6 @@ class TestProject:
 
 class TestEdgePairRepresentation:
     def test_identical_endpoints_identical_rows(self, rng):
-        from linecontrast.autodiff import constant
         x = rng.standard_normal(4)
         h = np.tile(x, (3, 1))
         edges = np.array([[0, 1], [1, 2]])
@@ -342,7 +362,6 @@ class TestEdgePairRepresentation:
         assert np.allclose(out.data[0], expected, atol=1e-12)
 
     def test_matches_per_edge_loop(self, rng):
-        from linecontrast.autodiff import constant
         g = rand_graph(47)
         h = rng.standard_normal((g.num_nodes, 4))
         w = rng.standard_normal((8, 4))

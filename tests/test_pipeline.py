@@ -60,10 +60,12 @@ class TestBatch:
         assert batch.node_offsets[0] == 0 and batch.node_offsets[-1] == batch.num_nodes
 
     def test_line_rows_align_with_edges(self):
-        graphs = small_corpus(2)
+        graphs = small_corpus(3)
         batch = Batch.build([(g, to_line_graph(g)) for g in graphs])
-        assert np.array_equal(batch.edge_offsets, batch.edge_offsets)
-        assert batch.line_edge_origin.max() < batch.num_nodes
+        for i, g in enumerate(graphs):
+            rows = slice(batch.edge_offsets[i], batch.edge_offsets[i + 1])
+            assert np.array_equal(batch.edges[rows] - batch.node_offsets[i], np.array(g.edges))
+            assert np.array_equal(batch.edge_feat[rows], np.array(g.edge_features))
 
     def test_view_mismatch_wrong_view(self):
         g1, g2 = small_corpus(2)
@@ -77,6 +79,14 @@ class TestBatch:
                                  edge_origin=view.edge_origin)
         with pytest.raises(ViewMismatch, match="source-edge order"):
             Batch.build([(g, shuffled)])
+
+    def test_view_mismatch_edge_origin_outside_graph(self):
+        g = triangle()
+        view = to_line_graph(g)
+        dangling = LineGraphView(graph=view.graph, node_origin=view.node_origin,
+                                 edge_origin=view.edge_origin[:-1] + (g.num_nodes,))
+        with pytest.raises(ViewMismatch, match="missing source node"):
+            Batch.build([(g, dangling)])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -272,6 +282,8 @@ class TestTrainStep:
         assert len(clock.starts) == len(clock.ends) == result.step
         assert tracer.counts["encoder.encode_batch"] == result.step
         assert tracer.counts["autodiff.adam_step"] == result.step
+        # both helices of every layer go through the hooked name
+        assert tracer.counts["encoder.gin_layer"] == 2 * CFG.depth * result.step
         for owner, saved in zip(owners, before):
             assert [k for k, v in saved.items() if vars(owner)[k] is not v] == []
 
