@@ -246,11 +246,15 @@ def concat_cols(a, b) -> Tensor:
     return _apply(_tape_of(a, b), out, (a, b), backward)
 
 
-def _sum_rows_into(x: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
+def _flat_index(idx: np.ndarray, d: int) -> np.ndarray:
+    """The (row, column) entries of rows idx of a d-wide matrix, flattened."""
+    return (idx[:, None] * d + np.arange(d)).ravel()
+
+
+def _sum_rows_into(x: np.ndarray, flat: np.ndarray, num_rows: int) -> np.ndarray:
     """out[r] = sum of the rows x[k] with idx[k] == r, as one bincount over
-    the flat (row, column) index; each entry sums in index order."""
+    flat = _flat_index(idx, d); each entry sums in index order."""
     d = x.shape[1]
-    flat = (idx[:, None] * d + np.arange(d)).ravel()
     out = np.bincount(flat, weights=x.ravel(), minlength=num_rows * d)
     # bincount of an empty index yields integers, whatever the weights
     return out.astype(np.float64, copy=False).reshape(num_rows, d)
@@ -265,7 +269,7 @@ def gather_rows(x, rows) -> Tensor:
     x_shape = x.shape
 
     def backward(g):
-        return (_sum_rows_into(g, idx, x_shape[0]),)
+        return (_sum_rows_into(g, _flat_index(idx, x_shape[1]), x_shape[0]),)
 
     return _apply(_tape_of(x), out, (x,), backward)
 
@@ -278,12 +282,73 @@ def scatter_add_rows(x, rows, num_rows: int) -> Tensor:
         raise ShapeMismatch(f"scatter_add_rows: {idx.size} indices for {x.shape[0]} rows")
     if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
         raise ShapeMismatch(f"scatter_add_rows: index outside 0..{num_rows - 1}")
-    out = _sum_rows_into(x.data, idx, num_rows)
+    out = _sum_rows_into(x.data, _flat_index(idx, x.shape[1]), num_rows)
 
     def backward(g):
         return (g[idx],)
 
     return _apply(_tape_of(x), out, (x,), backward)
+
+
+class Incidence:
+    """The V x E unsigned incidence matrix B of an edge list, for rows of
+    one width: B[r, k] = 1 when node r is an endpoint of edge k.
+
+    incident_sum and endpoint_sum read it in forward and in backward. The
+    endpoints are checked once here, and the flat (row, column) bincount
+    index of B's 2E nonzeros at `width` is formed once here.
+    """
+
+    def __init__(self, edges, num_nodes: int, width: int):
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
+            raise ShapeMismatch(f"incidence: endpoint outside 0..{num_nodes - 1}")
+        self.u = edges[:, 0]
+        self.v = edges[:, 1]
+        self.num_nodes = num_nodes
+        self.num_edges = edges.shape[0]
+        self.width = width
+        ends = np.concatenate([self.u, self.v])
+        self.degree = np.bincount(ends, minlength=num_nodes)
+        self._flat = _flat_index(ends, width)
+
+    def check(self, x: Tensor, rows: int, what: str) -> None:
+        if x.shape != (rows, self.width):
+            raise ShapeMismatch(f"{what}: {x.shape}, expected {(rows, self.width)}")
+
+    def into_nodes(self, x: np.ndarray) -> np.ndarray:
+        """B x; each node sums its u-side edges first, then its v-side ones."""
+        return _sum_rows_into(np.concatenate([x, x]), self._flat, self.num_nodes)
+
+    def endpoints(self, y: np.ndarray) -> np.ndarray:
+        """B^T y: y[u] + y[v] for each edge (u, v)."""
+        out = np.take(y, self.u, axis=0)
+        out += np.take(y, self.v, axis=0)
+        return out
+
+
+def incident_sum(x, inc: Incidence) -> Tensor:
+    """B x: each row of the E x d `x` added into both endpoints of its
+    edge, V x d out; the adjoint of endpoint_sum."""
+    x = _as_tensor(x)
+    inc.check(x, inc.num_edges, "incident_sum")
+
+    def backward(g):
+        return (inc.endpoints(g),)
+
+    return _apply(_tape_of(x), inc.into_nodes(x.data), (x,), backward)
+
+
+def endpoint_sum(y, inc: Incidence) -> Tensor:
+    """B^T y = y[u] + y[v] for each edge (u, v) of the V x d `y`, E x d
+    out; the adjoint of incident_sum."""
+    y = _as_tensor(y)
+    inc.check(y, inc.num_nodes, "endpoint_sum")
+
+    def backward(g):
+        return (inc.into_nodes(g),)
+
+    return _apply(_tape_of(y), inc.endpoints(y.data), (y,), backward)
 
 
 def relu(x) -> Tensor:

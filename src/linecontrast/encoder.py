@@ -7,15 +7,17 @@ previous layer: the graph side reads the line-node vector of each edge
 (line node k is source edge k), the line side reads, for each line edge,
 the vector of the source node its two edges share.
 
-Both helices run on the source graph's edge list; the line graph's own
-arcs are never built. The graph helix sums one message per arc of the
-source edges. For the line helix, let B be the V x E incidence matrix of
-the source graph: the line graph's adjacency is B^T B - 2I, so line node
-e = (u, v) neighbours the other edges at u and at v, and the line edge
-to each carries the shared node's vector x. Its neighbour sum is
-T[u] + T[v] - 2 h_e with T = B h + (deg - 1) x: one scatter of the
-line-node rows into both endpoints, a degree-weighted node term and two
-row lookups.
+Both helices run on the V x E incidence matrix B of the source graph,
+built once per batch; the line graph's own arcs are never built. Two
+adjoint primitives carry rows across it: incident_sum (B x, each edge row
+added into both endpoints) and endpoint_sum (B^T y = y[u] + y[v]). The
+graph helix's neighbour sum is B(B^T h + a) - D h, where a holds the edge
+attributes and D the node degrees: each edge carries both endpoints' sum
+plus its attribute to both endpoints, and D h takes each node's own share
+back out. The line graph's adjacency is B^T B - 2I, so line node
+e = (u, v) neighbours the other edges at u and at v, and the line edge to
+each carries the shared node's vector x. Its neighbour sum is
+B^T t - 2 h_e with t = B h + (deg - 1) x.
 """
 
 from __future__ import annotations
@@ -26,11 +28,14 @@ from math import sqrt
 import numpy as np
 
 from .autodiff import (
+    Incidence,
     Tensor,
     add,
     concat_cols,
     constant,
+    endpoint_sum,
     gather_rows,
+    incident_sum,
     matmul,
     mul,
     relu,
@@ -270,14 +275,9 @@ def encode_batch(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> BatchE
     raw attributes through its own layer tables.
     """
     init = embed_inputs(batch, params, cfg)
-    num_nodes = batch.num_nodes
-    u, v = batch.edges[:, 0], batch.edges[:, 1]
-    # arc i runs from ends[i] to across[i] along edge edge_of[i]; the pairs
-    # (ends[i], edge_of[i]) are also the nonzeros of the incidence matrix B
-    ends = np.concatenate([u, v])
-    across = np.concatenate([v, u])
-    edge_of = np.tile(np.arange(batch.num_edges), 2)
-    deg_less_one = constant(np.bincount(ends, minlength=num_nodes)[:, None] - 1.0)
+    inc = Incidence(batch.edges, batch.num_nodes, cfg.hidden_dim)
+    neg_deg = constant(-inc.degree[:, None])
+    deg_less_one = constant(inc.degree[:, None] - 1.0)
     g_hist = [init.graph_nodes]
     l_hist = [init.line_nodes]
     node_sizes = (cfg.atomic_vocab, cfg.chirality_vocab)
@@ -295,12 +295,12 @@ def encode_batch(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> BatchE
                                  params[f"line.layer{c}.edge.chirality"],
                                  node_sizes, "line edge")
         h, e = g_hist[c], l_hist[c]
-        g_messages = add(gather_rows(h, ends), gather_rows(g_eattr, edge_of))
-        g_neighbours = scatter_add_rows(g_messages, across, num_nodes)
-        # T = B e + (deg - 1) x; line node (u, v) sums T[u] + T[v] - 2 e
-        t = add(scatter_add_rows(gather_rows(e, edge_of), ends, num_nodes),
-                mul(l_eattr, deg_less_one))
-        l_neighbours = add(add(gather_rows(t, u), gather_rows(t, v)), scale(e, -2.0))
+        # node v sums B(B^T h + a) - D h: the far end's h plus a, per edge at v
+        g_neighbours = add(incident_sum(add(endpoint_sum(h, inc), g_eattr), inc),
+                           mul(h, neg_deg))
+        # line node (u, v) sums B^T t - 2 e, with t = B e + (deg - 1) x
+        t = add(incident_sum(e, inc), mul(l_eattr, deg_less_one))
+        l_neighbours = add(endpoint_sum(t, inc), scale(e, -2.0))
         g_hist.append(gin_layer(h, g_neighbours, params[f"graph.layer{c}.self_loop"],
                                 _layer_mlp(params, "graph", c)))
         l_hist.append(gin_layer(e, l_neighbours, params[f"line.layer{c}.self_loop"],

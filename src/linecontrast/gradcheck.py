@@ -177,6 +177,16 @@ def _primitive_cases(rng: np.random.Generator) -> dict[str, list[Case]]:
          {"a": mat(6, 3), "b": mat(6, 3)})
         for inclusive in (False, True)
     ]
+    # node 0 meets three edges, node 4 none
+    inc = ad.Incidence(np.array([[0, 1], [0, 2], [2, 3], [0, 3]]), 5, 3)
+    w53 = rng.standard_normal((5, 3))
+    w43 = rng.standard_normal((4, 3))
+    cases["incident_sum"] = [
+        (lambda t: _scalarize(ad.incident_sum(t["x"], inc), w53), {"x": mat(4, 3)}),
+    ]
+    cases["endpoint_sum"] = [
+        (lambda t: _scalarize(ad.endpoint_sum(t["y"], inc), w43), {"y": mat(5, 3)}),
+    ]
     return cases
 
 

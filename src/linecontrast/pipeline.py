@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -345,6 +346,25 @@ def save_training_checkpoint(path, result: PretrainResult) -> None:
     save_checkpoint(path, result.params.config, arrays, meta)
 
 
+def _meta_int(meta: dict, key: str, minimum: int | None = 0) -> int:
+    """An int metadata field, 0 when absent; ConfigMismatch otherwise."""
+    value = meta.get(key, 0)
+    # JSON true / false load as bools, which are ints to Python
+    if type(value) is not int or (minimum is not None and value < minimum):
+        kind = "an int" if minimum is None else f"an int >= {minimum}"
+        raise ConfigMismatch(f"checkpoint metadata {key} is not {kind}: {value!r}")
+    return value
+
+
+def _meta_adam(meta: dict) -> dict[str, float]:
+    adam = meta.get("adam", {})
+    if not isinstance(adam, dict) or not all(
+            type(x) is float and math.isfinite(x) for x in adam.values()):
+        raise ConfigMismatch(f"checkpoint metadata adam is not an object of finite "
+                             f"floats: {adam!r}")
+    return adam
+
+
 def load_training_checkpoint(path) -> PretrainResult:
     ck = load_checkpoint(path)
     expected = param_shapes(ck.config)
@@ -360,17 +380,18 @@ def load_training_checkpoint(path) -> PretrainResult:
         return found
 
     model, m, v = arrays("model."), arrays("opt.m."), arrays("opt.v.")
-    adam_meta = ck.meta.get("adam", {})
+    adam_meta = _meta_adam(ck.meta)
     opt = AdamState(
-        learning_rate=float(adam_meta.get("learning_rate", 1e-3)),
-        beta1=float(adam_meta.get("beta1", 0.9)),
-        beta2=float(adam_meta.get("beta2", 0.999)),
-        eps=float(adam_meta.get("eps", 1e-8)),
-        step=int(ck.meta.get("adam_step", 0)),
+        learning_rate=adam_meta.get("learning_rate", 1e-3),
+        beta1=adam_meta.get("beta1", 0.9),
+        beta2=adam_meta.get("beta2", 0.999),
+        eps=adam_meta.get("eps", 1e-8),
+        step=_meta_int(ck.meta, "adam_step"),
         m=m,
         v=v,
     )
-    params = DualHelixParams(config=ck.config, seed=int(ck.meta.get("seed", 0)), arrays=model)
+    params = DualHelixParams(config=ck.config, seed=_meta_int(ck.meta, "seed", minimum=None),
+                             arrays=model)
     return PretrainResult(params=params, optimizer=opt, reports=[],
-                          step=int(ck.meta.get("step", 0)),
-                          epochs_done=int(ck.meta.get("epochs_done", 0)))
+                          step=_meta_int(ck.meta, "step"),
+                          epochs_done=_meta_int(ck.meta, "epochs_done"))

@@ -200,6 +200,69 @@ class TestRowScatterKernel:
         assert not g.any()
 
 
+class TestIncidenceSums:
+    """incident_sum (B x) and endpoint_sum (B^T y) against a dense B."""
+
+    # node 0 meets three edges, node 5 none; edges (1, 2) and (2, 4) share node 2
+    EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [2, 4]])
+    V, D = 6, 4
+
+    def dense(self, edges=EDGES):
+        b = np.zeros((self.V, len(edges)))
+        for k, (u, v) in enumerate(edges):
+            b[u, k] = b[v, k] = 1.0
+        return b
+
+    def grad_of(self, fn, value, inc, w):
+        tape = Tape()
+        x = tape.watch(value)
+        out = fn(x, inc)
+        loss = ad.row_sum(ad.matmul(ad.constant(np.ones((1, out.shape[0]))),
+                                    ad.mul(out, ad.constant(w))))
+        tape.backward(loss)
+        return out.data, tape.grad(x)
+
+    @pytest.mark.parametrize("edges", [EDGES, EDGES[:0]], ids=["graph", "no edges"])
+    def test_values_and_gradients_match_dense_incidence(self, rng, edges):
+        inc = ad.Incidence(edges, self.V, self.D)
+        b = self.dense(edges)
+        x = rng.standard_normal((len(edges), self.D))
+        w_nodes = rng.standard_normal((self.V, self.D))
+        out, grad = self.grad_of(ad.incident_sum, x, inc, w_nodes)
+        assert out.dtype == np.float64 and out.shape == (self.V, self.D)
+        assert np.abs(out - b @ x).max(initial=0) < 1e-12
+        assert np.abs(grad - b.T @ w_nodes).max(initial=0) < 1e-12
+        y = rng.standard_normal((self.V, self.D))
+        w_edges = rng.standard_normal((len(edges), self.D))
+        out, grad = self.grad_of(ad.endpoint_sum, y, inc, w_edges)
+        assert out.shape == (len(edges), self.D)
+        assert np.abs(out - b.T @ y).max(initial=0) < 1e-12
+        assert np.abs(grad - b @ w_edges).max(initial=0) < 1e-12
+        assert np.array_equal(inc.degree, b.sum(axis=1))
+
+    def test_adjoint_identity(self, rng):
+        inc = ad.Incidence(self.EDGES, self.V, self.D)
+        x = rng.standard_normal((len(self.EDGES), self.D))
+        y = rng.standard_normal((self.V, self.D))
+        left = (ad.incident_sum(ad.constant(x), inc).data * y).sum()
+        right = (x * ad.endpoint_sum(ad.constant(y), inc).data).sum()
+        assert abs(left - right) < 1e-12
+
+    @pytest.mark.parametrize("bad", [[0, 6], [-1, 2]])
+    def test_endpoint_outside_nodes_rejected_at_construction(self, bad):
+        with pytest.raises(ShapeMismatch, match="endpoint outside 0..5"):
+            ad.Incidence(np.vstack([self.EDGES, [bad]]), self.V, self.D)
+
+    def test_wrong_shaped_operand_rejected(self, rng):
+        inc = ad.Incidence(self.EDGES, self.V, self.D)
+        with pytest.raises(ShapeMismatch, match="incident_sum"):
+            ad.incident_sum(ad.constant(rng.standard_normal((5, 3))), inc)  # width
+        with pytest.raises(ShapeMismatch, match="incident_sum"):
+            ad.incident_sum(ad.constant(rng.standard_normal((6, 4))), inc)  # rows
+        with pytest.raises(ShapeMismatch, match="endpoint_sum"):
+            ad.endpoint_sum(ad.constant(rng.standard_normal((5, 4))), inc)
+
+
 def two_direction_reference(a, b, ids, tau, inclusive):
     """Plain numpy: the row log-sum-exp terms of s = a @ b.T with the
     other-group mask plus those of s.T, and the gradient of their sum with

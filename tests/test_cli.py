@@ -256,6 +256,12 @@ CORRUPTIONS = {
     "parameter entry without shape": _edited_header(lambda h: h["params"][0].pop()),
     "negative dimension": _edited_header(_negative_first_dimension),
     "metadata not an object": _edited_header(lambda h: h.update(meta=[])),
+    "adam metadata a list": _edited_header(lambda h: h["meta"].update(adam=[1, 2])),
+    "adam rate a string": _edited_header(
+        lambda h: h["meta"].update(adam={"learning_rate": "fast"})),
+    "step null": _edited_header(lambda h: h["meta"].update(step=None)),
+    "step a string": _edited_header(lambda h: h["meta"].update(step="x")),
+    "seed null": _edited_header(lambda h: h["meta"].update(seed=None)),
     "trailing bytes": lambda raw: raw + b"\x00",
 }
 

@@ -179,10 +179,14 @@ class TestEncodeDual:
     @pytest.mark.parametrize("fusion", [True, False])
     def test_multi_graph_batch_matches_reference_loop_forward(self, fusion):
         # a degree-7 hub gives line edges weighted (deg - 1) = 6 and a line
-        # node with six neighbours; the single edge's line node has none
+        # node with six neighbours; the single edge's line node has none;
+        # node 2 of the path with an isolated node meets no edge, so its
+        # degree term -D h is zero at every layer
         cfg = EncoderConfig(depth=3, hidden_dim=8, atomic_vocab=6, chirality_vocab=3,
                             bond_type_vocab=4, bond_direction_vocab=3, edge_fusion=fusion)
-        graphs = [star(7), single_edge(), rand_graph(23, cfg)]
+        isolated = make_graph([[1, 0], [2, 1], [4, 2], [0, 1]], [(0, 1), (1, 3)],
+                              [[3, 1], [0, 2]])
+        graphs = [star(7), single_edge(), isolated, rand_graph(23, cfg)]
         views = [to_line_graph(g) for g in graphs]
         p = params_for(cfg, seed=10)
         enc = encode_batch(Batch.build(list(zip(graphs, views))), p.as_constants(), cfg)
