@@ -362,17 +362,6 @@ def relu(x) -> Tensor:
     return _apply(_tape_of(x), out, (x,), backward)
 
 
-def row_sum(x) -> Tensor:
-    x = _as_tensor(x)
-    out = x.data.sum(axis=1, keepdims=True)
-    cols = x.shape[1]
-
-    def backward(g):
-        return (np.repeat(g, cols, axis=1),)
-
-    return _apply(_tape_of(x), out, (x,), backward)
-
-
 def l2_normalize_rows(x) -> Tensor:
     x = _as_tensor(x)
     norms = np.linalg.norm(x.data, axis=1, keepdims=True)
@@ -418,63 +407,12 @@ def cosine_sim(a, b) -> Tensor:
 # a and b, which are all the tape keeps.
 # Each row and each column takes its own exact max shift: one global shift
 # would underflow every exp once tau is small. block_xent runs one
-# direction per block and recomputes the softmax in backward, so no padded
-# stack outlives forward.
+# direction per block on a padded stack. Both kernels follow one contract:
+# forward forms the masked softmax once, turns (softmax - onehot) into the
+# gradients on a and b, and keeps only those two E x d arrays; backward
+# scales them by g / tau.
 
 TILE_ENTRIES = 1 << 18  # similarity entries per row tile of group_xent
-
-
-def _masked_logits(s: np.ndarray, neg_mask: np.ndarray, tau: float,
-                   inclusive: bool) -> np.ndarray:
-    """s / tau where an anchor's log-sum-exp reads it, -inf elsewhere."""
-    x = np.where(neg_mask, s, -np.inf)
-    if inclusive:
-        d = np.arange(s.shape[-1])
-        x[..., d, d] = s[..., d, d]
-    x *= 1.0 / tau
-    return x
-
-
-def _max_shift(x: np.ndarray, axis: int) -> np.ndarray:
-    shift = x.max(axis=axis, keepdims=True)
-    shift[np.isneginf(shift)] = 0.0  # anchors with nothing to sum
-    return shift
-
-
-def _xent(s: np.ndarray, neg_mask: np.ndarray, tau: float, inclusive: bool):
-    """Forward pass over square blocks on the last two axes of `s`, with
-    anchors along the rows and candidates along the last axis.
-
-    Returns (sum of the kept anchor terms, number of kept anchors, a
-    function mapping the scalar upstream gradient to the gradient on `s`),
-    or (None, 0, None) when no anchor has a negative.
-    """
-    keep = neg_mask.any(axis=-1, keepdims=True)
-    k = int(np.count_nonzero(keep))
-    if k == 0:
-        return None, 0, None
-    x = _masked_logits(s, neg_mask, tau, inclusive)
-    shift = _max_shift(x, -1)
-    x -= shift
-    np.exp(x, out=x)
-    # dropped anchors get +inf, so their softmax in backward is exactly 0
-    lse = np.log(x.sum(axis=-1, keepdims=True), out=np.full(keep.shape, np.inf),
-                 where=keep)
-    lse += shift
-    del x
-    d = np.arange(s.shape[-1])
-    keep_d = keep[..., 0]
-    total = float((lse[..., 0] - s[..., d, d] * (1.0 / tau))[keep_d].sum())
-
-    def grad(g: float) -> np.ndarray:
-        p = _masked_logits(s, neg_mask, tau, inclusive)
-        p -= lse
-        np.exp(p, out=p)
-        p[..., d, d] -= keep_d
-        p *= g / tau
-        return p
-
-    return total, k, grad
 
 
 def group_xent(a, b, group_ids, tau: float,
@@ -583,7 +521,9 @@ def block_xent(a, b, offsets: np.ndarray, tau: float,
     Each row of `a` anchors against the rows of `b` in its own block. The
     rows are padded into a (blocks, largest block, d) stack and one batched
     matmul gives every block's similarities; padding never enters a sum.
-    Blocks of one row have no negatives and drop out.
+    Blocks of one row have no negatives and drop out. One tape node; the
+    padded stack is freed in forward and only the gradients on a and b are
+    kept.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
@@ -599,21 +539,36 @@ def block_xent(a, b, offsets: np.ndarray, tau: float,
     b_pad = np.zeros_like(a_pad)
     a_pad[block, slot] = a.data
     b_pad[block, slot] = b.data
-    s = a_pad @ b_pad.transpose(0, 2, 1)
-    check_finite(s, "similarity")
+    x = a_pad @ b_pad.transpose(0, 2, 1)  # similarities, worked on in place
+    check_finite(x, "similarity")
     valid = np.arange(width) < sizes[:, None]
-    neg_mask = valid[:, :, None] & valid[:, None, :]
-    d = np.arange(width)
-    neg_mask[:, d, d] = False
-    total, k, grad = _xent(s, neg_mask, tau, inclusive)
-    if total is None:
+    keep = valid & (sizes[:, None] > 1)
+    k = int(np.count_nonzero(keep))
+    if k == 0:
         return None, 0
+    d = np.arange(width)
+    # an anchor sums over the rows of its block, itself only when inclusive
+    masked = ~(valid[:, :, None] & valid[:, None, :])
+    if not inclusive:
+        masked[:, d, d] = True
+    x *= 1.0 / tau
+    pos = x[:, d, d][keep]
+    np.copyto(x, -np.inf, where=masked)
+    shift = x.max(axis=-1, keepdims=True)
+    shift[np.isneginf(shift)] = 0.0  # padding rows, one-row blocks if exclusive
+    x -= shift
+    np.exp(x, out=x)
+    row_sum = x.sum(axis=-1, keepdims=True)
+    total = float((np.log(row_sum[keep][:, 0]) + shift[keep][:, 0] - pos).sum())
+    # softmax - onehot on the kept anchors, 0 on the dropped ones and padding
+    x *= np.divide(1.0, row_sum, out=np.zeros_like(row_sum), where=keep[..., None])
+    x[:, d, d] -= keep
+    ga = (x @ b_pad)[block, slot]
+    gb = (x.transpose(0, 2, 1) @ a_pad)[block, slot]
 
     def backward(g):
-        gs = grad(float(g[0, 0]))
-        ga = gs @ b_pad
-        gb = gs.transpose(0, 2, 1) @ a_pad
-        return ga[block, slot], gb[block, slot]
+        c = float(g[0, 0]) / tau
+        return ga * c, gb * c
 
     return _apply(_tape_of(a, b), np.array([[total]]), (a, b), backward), k
 

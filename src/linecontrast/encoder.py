@@ -1,11 +1,13 @@
 """Dual message-passing encoder over a graph and its line graph.
 
-Both helices run the same edge-attributed GIN update in lockstep. Layer 0
-embeds raw edge attributes; from layer 1 on (when fusion is enabled) each
-helix's edge attributes are the other helix's node states from the
-previous layer: the graph side reads the line-node vector of each edge
-(line node k is source edge k), the line side reads, for each line edge,
-the vector of the source node its two edges share.
+Both helices run the same edge-attributed GIN update in lockstep, and
+every layer c picks its edge attributes by one rule. When c > 0 and fusion
+is on, each helix reads the other helix's input states to layer c - 1:
+the graph side reads the line-node vector of each edge (line node k is
+source edge k), the line side reads, for each line edge, the vector of
+the source node its two edges share. Otherwise each helix looks up raw
+attributes in its own layer-c edge tables, as the GIN of Hu et al. (ICLR
+2020) does at every layer. The vocabularies are checked once per batch.
 
 Both helices run on the V x E incidence matrix B of the source graph,
 built once per batch; the line graph's own arcs are never built. Two
@@ -163,23 +165,6 @@ class DualHelixParams:
         return {name: constant(arr) for name, arr in self.arrays.items()}
 
 
-@dataclass
-class Mlp:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(relu(add(matmul(x, self.w1), self.b1)), self.w2), self.b2)
-
-
-def _layer_mlp(params: dict[str, Tensor], helix: str, layer: int) -> Mlp:
-    p = f"{helix}.layer{layer}"
-    return Mlp(params[f"{p}.mlp1.w"], params[f"{p}.mlp1.b"],
-               params[f"{p}.mlp2.w"], params[f"{p}.mlp2.b"])
-
-
 def _check_vocab(feats: np.ndarray, sizes: tuple[int, int], what: str) -> None:
     if feats.size == 0:
         return
@@ -189,47 +174,19 @@ def _check_vocab(feats: np.ndarray, sizes: tuple[int, int], what: str) -> None:
             raise VocabOutOfRange(f"{what} field {col}: index {top} >= vocabulary size {size}")
 
 
-def embed_pair(feats: np.ndarray, table_a: Tensor, table_b: Tensor,
-               sizes: tuple[int, int], what: str) -> Tensor:
+def embed_pair(feats: np.ndarray, table_a: Tensor, table_b: Tensor) -> Tensor:
     """Sum of the two per-field table lookups for (n, 2) category indices."""
-    _check_vocab(feats, sizes, what)
     return add(gather_rows(table_a, feats[:, 0]), gather_rows(table_b, feats[:, 1]))
 
 
-@dataclass
-class InitialEmbeddings:
-    graph_nodes: Tensor   # sum(V) x d
-    graph_edges: Tensor   # sum(E) x d
-    line_nodes: Tensor    # sum(E) x d
-    line_edges: Tensor    # sum(V) x d, row v is what every line edge sharing node v carries
-
-
-def embed_inputs(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> InitialEmbeddings:
-    """Layer-0 node and edge embeddings for both helices.
-
-    Line-node features equal the source edge features, so the line helix's
-    node tables are bond tables; its edge features are the shared source
-    node's features, so its layer-0 edge tables are atom tables, looked up
-    once per source node.
-    """
-    node_sizes = (cfg.atomic_vocab, cfg.chirality_vocab)
-    edge_sizes = (cfg.bond_type_vocab, cfg.bond_direction_vocab)
-    g_nodes = embed_pair(batch.node_feat, params["graph.embed.atomic"],
-                         params["graph.embed.chirality"], node_sizes, "node")
-    g_edges = embed_pair(batch.edge_feat, params["graph.layer0.edge.bond_type"],
-                         params["graph.layer0.edge.bond_direction"], edge_sizes, "edge")
-    l_nodes = embed_pair(batch.edge_feat, params["line.embed.bond_type"],
-                         params["line.embed.bond_direction"], edge_sizes, "line node")
-    l_edges = embed_pair(batch.node_feat, params["line.layer0.edge.atomic"],
-                         params["line.layer0.edge.chirality"], node_sizes, "line edge")
-    return InitialEmbeddings(g_nodes, g_edges, l_nodes, l_edges)
-
-
-def gin_layer(h: Tensor, neighbours: Tensor, self_loop: Tensor, mlp: Mlp) -> Tensor:
-    """One update: relu(MLP(h_v + neighbours_v + self-loop vector)), where
-    neighbours_v sums, over the neighbours w of v, h_w plus the attribute
-    of the edge joining them."""
-    return relu(mlp(add(add(h, neighbours), self_loop)))
+def gin_layer(h: Tensor, neighbours: Tensor, params: dict[str, Tensor], layer: str) -> Tensor:
+    """One update of `layer` (a parameter prefix such as "graph.layer0"):
+    relu(MLP(h_v + neighbours_v + self-loop vector)), where neighbours_v
+    sums, over the neighbours w of v, h_w plus the attribute of the edge
+    joining them."""
+    x = add(add(h, neighbours), params[f"{layer}.self_loop"])
+    x = relu(add(matmul(x, params[f"{layer}.mlp1.w"]), params[f"{layer}.mlp1.b"]))
+    return relu(add(matmul(x, params[f"{layer}.mlp2.w"]), params[f"{layer}.mlp2.b"]))
 
 
 @dataclass
@@ -270,52 +227,47 @@ def encode_batch(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> BatchE
     """Run both helices in lockstep over a batch and derive all
     representations used by the losses.
 
-    With fusion enabled, layer c >= 1 takes the other helix's layer c-1
-    node states as edge attributes; with fusion disabled each layer embeds
-    raw attributes through its own layer tables.
+    Layer c takes the other helix's input states to layer c-1 as edge
+    attributes when c > 0 and fusion is on; otherwise each helix looks up
+    its own layer-c edge tables.
     """
-    init = embed_inputs(batch, params, cfg)
+    _check_vocab(batch.node_feat, (cfg.atomic_vocab, cfg.chirality_vocab), "node")
+    _check_vocab(batch.edge_feat, (cfg.bond_type_vocab, cfg.bond_direction_vocab), "edge")
     inc = Incidence(batch.edges, batch.num_nodes, cfg.hidden_dim)
     neg_deg = constant(-inc.degree[:, None])
     deg_less_one = constant(inc.degree[:, None] - 1.0)
-    g_hist = [init.graph_nodes]
-    l_hist = [init.line_nodes]
-    node_sizes = (cfg.atomic_vocab, cfg.chirality_vocab)
-    edge_sizes = (cfg.bond_type_vocab, cfg.bond_direction_vocab)
+    # line-node features are the source edge features, so the line helix's
+    # node tables are bond tables and its edge tables atom tables
+    h = embed_pair(batch.node_feat, params["graph.embed.atomic"], params["graph.embed.chirality"])
+    e = embed_pair(batch.edge_feat, params["line.embed.bond_type"],
+                   params["line.embed.bond_direction"])
+    h_prev = e_prev = None
     for c in range(cfg.depth):
-        if c == 0:
-            g_eattr, l_eattr = init.graph_edges, init.line_edges
-        elif cfg.edge_fusion:
-            g_eattr, l_eattr = l_hist[c - 1], g_hist[c - 1]
+        if c > 0 and cfg.edge_fusion:
+            g_eattr, l_eattr = e_prev, h_prev
         else:
             g_eattr = embed_pair(batch.edge_feat, params[f"graph.layer{c}.edge.bond_type"],
-                                 params[f"graph.layer{c}.edge.bond_direction"],
-                                 edge_sizes, "edge")
+                                 params[f"graph.layer{c}.edge.bond_direction"])
             l_eattr = embed_pair(batch.node_feat, params[f"line.layer{c}.edge.atomic"],
-                                 params[f"line.layer{c}.edge.chirality"],
-                                 node_sizes, "line edge")
-        h, e = g_hist[c], l_hist[c]
+                                 params[f"line.layer{c}.edge.chirality"])
         # node v sums B(B^T h + a) - D h: the far end's h plus a, per edge at v
         g_neighbours = add(incident_sum(add(endpoint_sum(h, inc), g_eattr), inc),
                            mul(h, neg_deg))
         # line node (u, v) sums B^T t - 2 e, with t = B e + (deg - 1) x
         t = add(incident_sum(e, inc), mul(l_eattr, deg_less_one))
         l_neighbours = add(endpoint_sum(t, inc), scale(e, -2.0))
-        g_hist.append(gin_layer(h, g_neighbours, params[f"graph.layer{c}.self_loop"],
-                                _layer_mlp(params, "graph", c)))
-        l_hist.append(gin_layer(e, l_neighbours, params[f"line.layer{c}.self_loop"],
-                                _layer_mlp(params, "line", c)))
-    h_graph = g_hist[-1]
-    h_line = l_hist[-1]
-    graph_repr = readout(h_graph, batch.node_offsets)
-    line_graph_repr = readout(h_line, batch.edge_offsets)
+        h_prev, e_prev = h, e
+        h = gin_layer(h, g_neighbours, params, f"graph.layer{c}")
+        e = gin_layer(e, l_neighbours, params, f"line.layer{c}")
+    graph_repr = readout(h, batch.node_offsets)
+    line_graph_repr = readout(e, batch.edge_offsets)
     return BatchEncoding(
-        node_embeddings=h_graph,
-        line_node_embeddings=h_line,
+        node_embeddings=h,
+        line_node_embeddings=e,
         graph_repr=graph_repr,
         line_graph_repr=line_graph_repr,
         z_graph=project(graph_repr, params["proj.w1"], params["proj.w2"]),
         z_line=project(line_graph_repr, params["proj.w1"], params["proj.w2"]),
-        edge_pair=edge_pair_representation(h_graph, batch.edges,
+        edge_pair=edge_pair_representation(h, batch.edges,
                                            params["edge_rep.w"], params["edge_rep.b"]),
     )

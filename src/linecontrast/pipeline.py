@@ -362,6 +362,15 @@ def _meta_adam(meta: dict) -> dict[str, float]:
             type(x) is float and math.isfinite(x) for x in adam.values()):
         raise ConfigMismatch(f"checkpoint metadata adam is not an object of finite "
                              f"floats: {adam!r}")
+    # beta = 1 divides by zero in adam_step's bias correction; a rate <= 0
+    # trains uphill or not at all
+    for key, ok, rule in (("learning_rate", lambda x: x > 0, "> 0"),
+                          ("beta1", lambda x: 0 <= x < 1, "in [0, 1)"),
+                          ("beta2", lambda x: 0 <= x < 1, "in [0, 1)"),
+                          ("eps", lambda x: x > 0, "> 0")):
+        if key in adam and not ok(adam[key]):
+            raise ConfigMismatch(f"checkpoint metadata adam.{key} is not {rule}: "
+                                 f"{adam[key]!r}")
     return adam
 
 

@@ -17,7 +17,8 @@ from linecontrast.autodiff import (
 def scalar_loss_sum_of_squares(tape, values):
     x = tape.watch(values)
     sq = ad.mul(x, x)
-    return x, ad.matmul(ad.constant(np.ones((1, sq.shape[0]))), ad.row_sum(sq))
+    return x, ad.matmul(ad.matmul(ad.constant(np.ones((1, sq.shape[0]))), sq),
+                        ad.constant(np.ones((sq.shape[1], 1))))
 
 
 class TestTensorBasics:
@@ -184,8 +185,9 @@ class TestRowScatterKernel:
         w = rng.standard_normal((40, d))
         tape = Tape()
         x = tape.watch(x_val)
-        loss = ad.row_sum(ad.matmul(ad.constant(np.ones((1, 40))),
-                                    ad.mul(ad.gather_rows(x, idx), ad.constant(w))))
+        loss = ad.matmul(ad.matmul(ad.constant(np.ones((1, 40))),
+                                   ad.mul(ad.gather_rows(x, idx), ad.constant(w))),
+                         ad.constant(np.ones((d, 1))))
         tape.backward(loss)
         assert np.abs(tape.grad(x) - add_at_reference(w, idx, 12)).max() < 1e-12
 
@@ -193,7 +195,8 @@ class TestRowScatterKernel:
         tape = Tape()
         x = tape.watch(rng.standard_normal((5, 3)))
         picked = ad.gather_rows(x, np.zeros(0, dtype=np.int64))
-        loss = ad.row_sum(ad.matmul(ad.constant(np.ones((1, 0))), picked))
+        loss = ad.matmul(ad.matmul(ad.constant(np.ones((1, 0))), picked),
+                         ad.constant(np.ones((3, 1))))
         tape.backward(loss)
         g = tape.grad(x)
         assert g.shape == (5, 3) and g.dtype == np.float64
@@ -217,8 +220,9 @@ class TestIncidenceSums:
         tape = Tape()
         x = tape.watch(value)
         out = fn(x, inc)
-        loss = ad.row_sum(ad.matmul(ad.constant(np.ones((1, out.shape[0]))),
-                                    ad.mul(out, ad.constant(w))))
+        loss = ad.matmul(ad.matmul(ad.constant(np.ones((1, out.shape[0]))),
+                                   ad.mul(out, ad.constant(w))),
+                         ad.constant(np.ones((out.shape[1], 1))))
         tape.backward(loss)
         return out.data, tape.grad(x)
 
@@ -364,7 +368,8 @@ class TestBroadcastRules:
         tape = Tape()
         col = tape.watch(np.array([[1.0], [2.0]]))
         big = ad.add(ad.constant(np.zeros((2, 3))), col)
-        loss = ad.matmul(ad.constant(np.ones((1, 2))), ad.row_sum(big))
+        loss = ad.matmul(ad.matmul(ad.constant(np.ones((1, 2))), big),
+                         ad.constant(np.ones((3, 1))))
         tape.backward(loss)
         assert np.array_equal(tape.grad(col), [[3.0], [3.0]])
 

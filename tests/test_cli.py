@@ -262,6 +262,11 @@ CORRUPTIONS = {
     "step null": _edited_header(lambda h: h["meta"].update(step=None)),
     "step a string": _edited_header(lambda h: h["meta"].update(step="x")),
     "seed null": _edited_header(lambda h: h["meta"].update(seed=None)),
+    "adam beta1 one": _edited_header(lambda h: h["meta"]["adam"].update(beta1=1.0)),
+    "adam rate negative": _edited_header(
+        lambda h: h["meta"]["adam"].update(learning_rate=-1.0)),
+    "adam rate zero": _edited_header(lambda h: h["meta"]["adam"].update(learning_rate=0.0)),
+    "adam eps zero": _edited_header(lambda h: h["meta"]["adam"].update(eps=0.0)),
     "trailing bytes": lambda raw: raw + b"\x00",
 }
 

@@ -6,10 +6,9 @@ from linecontrast.encoder import (
     DualHelixParams,
     EmptyGraph,
     EncoderConfig,
-    Mlp,
     VocabOutOfRange,
     edge_pair_representation,
-    embed_inputs,
+    embed_pair,
     encode_batch,
     gin_layer,
     param_shapes,
@@ -90,40 +89,57 @@ def reference_dual_forward(g, view, arrays, cfg):
 
 
 class TestEmbedInputs:
+    """Layer-0 lookups on the batch arrays, and the per-batch vocabulary
+    check in encode_batch."""
+
     def test_feature_zero_zero_sums_first_rows(self):
         g = make_graph([[0, 0], [0, 0]], [(0, 1)], [[0, 0]])
-        p = params_for()
-        init = embed_inputs(batch_of(g), p.as_constants(), CFG)
-        expected = p.arrays["graph.embed.atomic"][0] + p.arrays["graph.embed.chirality"][0]
-        assert np.allclose(init.graph_nodes.data[0], expected, atol=1e-15)
+        c = params_for().as_constants()
+        nodes = embed_pair(batch_of(g).node_feat, c["graph.embed.atomic"],
+                           c["graph.embed.chirality"])
+        expected = c["graph.embed.atomic"].data[0] + c["graph.embed.chirality"].data[0]
+        assert np.allclose(nodes.data[0], expected, atol=1e-15)
 
     def test_identical_features_identical_vectors(self):
         g = make_graph([[2, 1], [2, 1], [0, 0]], [(0, 2), (1, 2)], [[1, 0], [1, 0]])
-        init = embed_inputs(batch_of(g), params_for().as_constants(), CFG)
-        assert np.array_equal(init.graph_nodes.data[0], init.graph_nodes.data[1])
+        batch = batch_of(g)
+        c = params_for().as_constants()
+        nodes = embed_pair(batch.node_feat, c["graph.embed.atomic"], c["graph.embed.chirality"])
+        assert np.array_equal(nodes.data[0], nodes.data[1])
         # the two edges carry the same bond features too
-        assert np.array_equal(init.line_nodes.data[0], init.line_nodes.data[1])
+        line_nodes = embed_pair(batch.edge_feat, c["line.embed.bond_type"],
+                                c["line.embed.bond_direction"])
+        assert np.array_equal(line_nodes.data[0], line_nodes.data[1])
 
     def test_line_node_init_is_bond_embedding(self):
         g = path3()
         p = params_for()
-        init = embed_inputs(batch_of(g), p.as_constants(), CFG)
+        c = p.as_constants()
+        line_nodes = embed_pair(batch_of(g).edge_feat, c["line.embed.bond_type"],
+                                c["line.embed.bond_direction"])
         bt, bd = g.edge_features[0]
         expected = p.arrays["line.embed.bond_type"][bt] + p.arrays["line.embed.bond_direction"][bd]
-        assert np.allclose(init.line_nodes.data[0], expected, atol=1e-15)
+        assert np.allclose(line_nodes.data[0], expected, atol=1e-15)
 
     def test_vocab_out_of_range(self):
         g = make_graph([[11, 0], [0, 0]], [(0, 1)], [[0, 0]])  # atomic 11 >= vocab 6
         with pytest.raises(VocabOutOfRange, match="index 11"):
-            embed_inputs(batch_of(g), params_for().as_constants(), CFG)
+            encode_batch(batch_of(g), params_for().as_constants(), CFG)
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    @pytest.mark.parametrize("field, bad", [(0, 4), (1, 3)], ids=["bond_type", "bond_direction"])
+    def test_bond_vocab_out_of_range(self, fusion, field, bad):
+        # bond type vocabulary 4, bond direction vocabulary 3
+        cfg = EncoderConfig(depth=3, hidden_dim=8, atomic_vocab=6, chirality_vocab=3,
+                            bond_type_vocab=4, bond_direction_vocab=3, edge_fusion=fusion)
+        feat = [1, 1]
+        feat[field] = bad
+        g = make_graph([[0, 0], [1, 0], [2, 1]], [(0, 1), (1, 2)], [[0, 0], feat])
+        with pytest.raises(VocabOutOfRange, match=f"edge field {field}: index {bad}"):
+            encode_batch(batch_of(g, cfg=cfg), params_for(cfg).as_constants(), cfg)
 
 
 class TestGinLayer:
-    def mlp(self, p, helix="graph", layer=0):
-        c = p.as_constants()
-        return Mlp(c[f"{helix}.layer{layer}.mlp1.w"], c[f"{helix}.layer{layer}.mlp1.b"],
-                   c[f"{helix}.layer{layer}.mlp2.w"], c[f"{helix}.layer{layer}.mlp2.b"])
-
     def test_isolated_node_sees_only_self_and_loop(self):
         # node 2 meets no edge, so the aggregation the encoder derives from
         # the edge list must leave it its own state and the self-loop
@@ -147,7 +163,6 @@ class TestGinLayer:
     def test_matches_loop_oracle_on_random_graph(self):
         g = rand_graph(11)
         p = params_for(seed=4)
-        init = embed_inputs(batch_of(g), p.as_constants(), CFG)
         d = CFG.hidden_dim
         h0 = embed_rows(g.node_features, p.arrays["graph.embed.atomic"],
                         p.arrays["graph.embed.chirality"], d)
@@ -157,8 +172,7 @@ class TestGinLayer:
         for k, (u, v) in enumerate(g.edges):
             neighbours[u] += h0[v] + e0[k]
             neighbours[v] += h0[u] + e0[k]
-        out = gin_layer(init.graph_nodes, constant(neighbours),
-                        p.as_constants()["graph.layer0.self_loop"], self.mlp(p))
+        out = gin_layer(constant(h0), constant(neighbours), p.as_constants(), "graph.layer0")
         expected = gin_loop(g, h0, e0, p.arrays, "graph", 0)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
