@@ -407,10 +407,10 @@ def cosine_sim(a, b) -> Tensor:
 # a and b, which are all the tape keeps.
 # Each row and each column takes its own exact max shift: one global shift
 # would underflow every exp once tau is small. block_xent runs one
-# direction per block on a padded stack. Both kernels follow one contract:
-# forward forms the masked softmax once, turns (softmax - onehot) into the
-# gradients on a and b, and keeps only those two E x d arrays; backward
-# scales them by g / tau.
+# direction per block, on padded stacks of blocks of one width. Both
+# kernels follow one contract: forward forms the masked softmax once,
+# turns (softmax - onehot) into the gradients on a and b, and keeps only
+# those two E x d arrays; backward scales them by g / tau.
 
 TILE_ENTRIES = 1 << 18  # similarity entries per row tile of group_xent
 
@@ -519,11 +519,14 @@ def block_xent(a, b, offsets: np.ndarray, tau: float,
     Rows offsets[g]:offsets[g + 1] of `a` and `b` form block g; rows are
     expected to be L2-normalised, so the products are cosine similarities.
     Each row of `a` anchors against the rows of `b` in its own block. The
-    rows are padded into a (blocks, largest block, d) stack and one batched
-    matmul gives every block's similarities; padding never enters a sum.
-    Blocks of one row have no negatives and drop out. One tape node; the
-    padded stack is freed in forward and only the gradients on a and b are
-    kept.
+    blocks are padded into stacks of one width, so that padding stays
+    within 4 x the sum of squared block sizes however skewed the sizes
+    are: one stack at the largest size when that keeps within the bound,
+    else one stack per power of two, each block padded to the least power
+    of two at or above its size. One batched matmul per stack gives its
+    blocks' similarities; padding never enters a sum. Blocks of one row
+    have no negatives and drop out. One tape node; the padded stacks are
+    freed in forward and only the gradients on a and b are kept.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
@@ -532,39 +535,54 @@ def block_xent(a, b, offsets: np.ndarray, tau: float,
     sizes = np.diff(offsets)
     if offsets[0] != 0 or offsets[-1] != a.shape[0] or (sizes < 0).any():
         raise ShapeMismatch(f"block_xent: offsets do not cut {a.shape[0]} rows into blocks")
-    width = int(sizes.max())
     block = np.repeat(np.arange(sizes.size), sizes)
     slot = np.arange(a.shape[0]) - offsets[block]
-    a_pad = np.zeros((sizes.size, width, a.shape[1]))
-    b_pad = np.zeros_like(a_pad)
-    a_pad[block, slot] = a.data
-    b_pad[block, slot] = b.data
-    x = a_pad @ b_pad.transpose(0, 2, 1)  # similarities, worked on in place
-    check_finite(x, "similarity")
-    valid = np.arange(width) < sizes[:, None]
-    keep = valid & (sizes[:, None] > 1)
-    k = int(np.count_nonzero(keep))
+    largest = int(sizes.max())
+    if sizes.size * largest ** 2 <= 4 * int((sizes ** 2).sum()):
+        widths = np.full(sizes.size, largest)
+    else:
+        # frexp's exponent of s - 1 is its bit length: 1 << it is the least
+        # power of two >= s (1 for s = 1)
+        widths = np.left_shift(1, np.frexp(sizes - 1)[1])
+    total, k = 0.0, 0
+    ga = np.empty_like(a.data)
+    gb = np.empty_like(b.data)
+    for width in sorted(set(widths.tolist())):
+        stacked = widths == width
+        rows = np.flatnonzero(stacked[block])
+        i = (np.cumsum(stacked) - 1)[block[rows]]  # block within the stack
+        j = slot[rows]
+        n = sizes[stacked, None]
+        a_pad = np.zeros((n.size, width, a.shape[1]))
+        b_pad = np.zeros_like(a_pad)
+        a_pad[i, j] = a.data[rows]
+        b_pad[i, j] = b.data[rows]
+        x = a_pad @ b_pad.transpose(0, 2, 1)  # similarities, worked on in place
+        check_finite(x, "similarity")
+        valid = np.arange(width) < n
+        keep = valid & (n > 1)
+        d = np.arange(width)
+        # an anchor sums over the rows of its block, itself only when inclusive
+        masked = ~(valid[:, :, None] & valid[:, None, :])
+        if not inclusive:
+            masked[:, d, d] = True
+        x *= 1.0 / tau
+        pos = x[:, d, d][keep]
+        np.copyto(x, -np.inf, where=masked)
+        shift = x.max(axis=-1, keepdims=True)
+        shift[np.isneginf(shift)] = 0.0  # padding rows, one-row blocks if exclusive
+        x -= shift
+        np.exp(x, out=x)
+        row_sum = x.sum(axis=-1, keepdims=True)
+        total += float((np.log(row_sum[keep][:, 0]) + shift[keep][:, 0] - pos).sum())
+        k += int(np.count_nonzero(keep))
+        # softmax - onehot on the kept anchors, 0 on the dropped ones and padding
+        x *= np.divide(1.0, row_sum, out=np.zeros_like(row_sum), where=keep[..., None])
+        x[:, d, d] -= keep
+        ga[rows] = (x @ b_pad)[i, j]
+        gb[rows] = (x.transpose(0, 2, 1) @ a_pad)[i, j]
     if k == 0:
         return None, 0
-    d = np.arange(width)
-    # an anchor sums over the rows of its block, itself only when inclusive
-    masked = ~(valid[:, :, None] & valid[:, None, :])
-    if not inclusive:
-        masked[:, d, d] = True
-    x *= 1.0 / tau
-    pos = x[:, d, d][keep]
-    np.copyto(x, -np.inf, where=masked)
-    shift = x.max(axis=-1, keepdims=True)
-    shift[np.isneginf(shift)] = 0.0  # padding rows, one-row blocks if exclusive
-    x -= shift
-    np.exp(x, out=x)
-    row_sum = x.sum(axis=-1, keepdims=True)
-    total = float((np.log(row_sum[keep][:, 0]) + shift[keep][:, 0] - pos).sum())
-    # softmax - onehot on the kept anchors, 0 on the dropped ones and padding
-    x *= np.divide(1.0, row_sum, out=np.zeros_like(row_sum), where=keep[..., None])
-    x[:, d, d] -= keep
-    ga = (x @ b_pad)[block, slot]
-    gb = (x.transpose(0, 2, 1) @ a_pad)[block, slot]
 
     def backward(g):
         c = float(g[0, 0]) / tau

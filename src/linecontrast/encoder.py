@@ -20,6 +20,13 @@ back out. The line graph's adjacency is B^T B - 2I, so line node
 e = (u, v) neighbours the other edges at u and at v, and the line edge to
 each carries the shared node's vector x. Its neighbour sum is
 B^T t - 2 h_e with t = B h + (deg - 1) x.
+
+Training reads both helices' final states (encode_batch). Embedding
+returns only the graph helix's pooled output (embed_batch), and that
+reads the line helix only through fusion: graph layer c reads the line
+helix's input to layer c - 1, the output of line layer c - 2. So with
+fusion on, embedding runs line layers 0..depth - 3 and no head but the
+readout; with fusion off, it runs no line layer at all.
 """
 
 from __future__ import annotations
@@ -223,13 +230,16 @@ def edge_pair_representation(h: Tensor, edges: np.ndarray, w: Tensor, b: Tensor)
     return add(matmul(concat_cols(left, right), w), b)
 
 
-def encode_batch(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> BatchEncoding:
-    """Run both helices in lockstep over a batch and derive all
-    representations used by the losses.
+def _helices(batch, params: dict[str, Tensor], cfg: EncoderConfig,
+             line_layers: int) -> tuple[Tensor, Tensor | None]:
+    """Run the graph helix for all cfg.depth layers and, in lockstep, the
+    line helix for its first `line_layers`; return both helices' last states.
 
     Layer c takes the other helix's input states to layer c-1 as edge
     attributes when c > 0 and fusion is on; otherwise each helix looks up
-    its own layer-c edge tables.
+    its own layer-c edge tables. With fusion on, graph layer c reads the
+    output of line layer c - 2, so `line_layers` must be at least
+    depth - 2.
     """
     _check_vocab(batch.node_feat, (cfg.atomic_vocab, cfg.chirality_vocab), "node")
     _check_vocab(batch.edge_feat, (cfg.bond_type_vocab, cfg.bond_direction_vocab), "edge")
@@ -239,26 +249,39 @@ def encode_batch(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> BatchE
     # line-node features are the source edge features, so the line helix's
     # node tables are bond tables and its edge tables atom tables
     h = embed_pair(batch.node_feat, params["graph.embed.atomic"], params["graph.embed.chirality"])
-    e = embed_pair(batch.edge_feat, params["line.embed.bond_type"],
-                   params["line.embed.bond_direction"])
+    e = None
+    if line_layers or cfg.edge_fusion:
+        e = embed_pair(batch.edge_feat, params["line.embed.bond_type"],
+                       params["line.embed.bond_direction"])
     h_prev = e_prev = None
     for c in range(cfg.depth):
+        line = c < line_layers
         if c > 0 and cfg.edge_fusion:
             g_eattr, l_eattr = e_prev, h_prev
         else:
             g_eattr = embed_pair(batch.edge_feat, params[f"graph.layer{c}.edge.bond_type"],
                                  params[f"graph.layer{c}.edge.bond_direction"])
-            l_eattr = embed_pair(batch.node_feat, params[f"line.layer{c}.edge.atomic"],
-                                 params[f"line.layer{c}.edge.chirality"])
+            if line:
+                l_eattr = embed_pair(batch.node_feat, params[f"line.layer{c}.edge.atomic"],
+                                     params[f"line.layer{c}.edge.chirality"])
         # node v sums B(B^T h + a) - D h: the far end's h plus a, per edge at v
         g_neighbours = add(incident_sum(add(endpoint_sum(h, inc), g_eattr), inc),
                            mul(h, neg_deg))
-        # line node (u, v) sums B^T t - 2 e, with t = B e + (deg - 1) x
-        t = add(incident_sum(e, inc), mul(l_eattr, deg_less_one))
-        l_neighbours = add(endpoint_sum(t, inc), scale(e, -2.0))
+        if line:
+            # line node (u, v) sums B^T t - 2 e, with t = B e + (deg - 1) x
+            t = add(incident_sum(e, inc), mul(l_eattr, deg_less_one))
+            l_neighbours = add(endpoint_sum(t, inc), scale(e, -2.0))
         h_prev, e_prev = h, e
         h = gin_layer(h, g_neighbours, params, f"graph.layer{c}")
-        e = gin_layer(e, l_neighbours, params, f"line.layer{c}")
+        if line:
+            e = gin_layer(e, l_neighbours, params, f"line.layer{c}")
+    return h, e
+
+
+def encode_batch(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> BatchEncoding:
+    """Run both helices over all layers of a batch and derive every
+    representation the losses use."""
+    h, e = _helices(batch, params, cfg, cfg.depth)
     graph_repr = readout(h, batch.node_offsets)
     line_graph_repr = readout(e, batch.edge_offsets)
     return BatchEncoding(
@@ -271,3 +294,12 @@ def encode_batch(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> BatchE
         edge_pair=edge_pair_representation(h, batch.edges,
                                            params["edge_rep.w"], params["edge_rep.b"]),
     )
+
+
+def embed_batch(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
+    """`encode_batch(batch, params, cfg).graph_repr`, bit for bit, from only
+    the layers it reads: the graph helix and, with fusion on, the line
+    helix's first depth - 2 layers."""
+    line_layers = max(cfg.depth - 2, 0) if cfg.edge_fusion else 0
+    h, _ = _helices(batch, params, cfg, line_layers)
+    return readout(h, batch.node_offsets)

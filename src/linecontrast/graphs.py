@@ -14,6 +14,7 @@ attributes can be transferred and the two views kept row-aligned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 
@@ -132,16 +133,20 @@ def to_line_graph(g: MolecularGraph) -> LineGraphView:
         incident[v].append(k)
     line_edges: list[tuple[int, int]] = []
     origins: list[int] = []
+    features: list[FeaturePair] = []
     for v, inc in enumerate(incident):
-        # inc is ascending because edges are scanned in index order
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                line_edges.append((inc[i], inc[j]))
-                origins.append(v)
+        if len(inc) < 2:
+            continue
+        # inc is ascending because edges are scanned in index order, so
+        # combinations yields the pairs in lexicographic order
+        line_edges.extend(combinations(inc, 2))
+        count = len(inc) * (len(inc) - 1) // 2
+        origins.extend([v] * count)
+        features.extend([g.node_features[v]] * count)
     lg = MolecularGraph(
         node_features=g.edge_features,
         edges=tuple(line_edges),
-        edge_features=tuple(g.node_features[v] for v in origins),
+        edge_features=tuple(features),
     )
     return LineGraphView(
         graph=lg,

@@ -15,6 +15,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .encoder import (
     DualHelixParams,
     EncoderConfig,
     ViewMismatch,
+    embed_batch,
     encode_batch,
     param_shapes,
 )
@@ -53,6 +55,12 @@ def transform_call_count() -> int:
     return _transform_calls
 
 
+def _pair_rows(pairs: list[tuple[int, int]]) -> np.ndarray:
+    """An (n, 2) int64 array of n pairs, read as one flat stream."""
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+    return flat.reshape(-1, 2)
+
+
 @dataclass
 class Batch:
     """Disjoint union of source graphs with row offsets.
@@ -79,11 +87,19 @@ class Batch:
 
     @classmethod
     def build(cls, pairs: list[tuple[MolecularGraph, LineGraphView]]) -> "Batch":
+        """Stack the graphs of `pairs` into one disjoint union.
+
+        Each view must be the canonical line graph of its source graph:
+        one line node per source edge, in source-edge order, and every
+        line edge's origin a source node; ViewMismatch otherwise. The
+        graphs' feature and edge tuples are extended into per-batch lists
+        and read into arrays as one flat stream each; one numpy repeat of
+        the node offsets moves every edge to global node ids.
+        """
         if not pairs:
             raise ValueError("cannot batch zero graphs")
         node_feat, edges, edge_feat = [], [], []
-        node_off = [0]
-        edge_off = [0]
+        node_counts, edge_counts = [], []
         for g, view in pairs:
             lg = view.graph
             if lg.num_nodes != g.num_edges:
@@ -91,21 +107,25 @@ class Batch:
                     f"line view has {lg.num_nodes} nodes for {g.num_edges} source edges")
             if view.node_origin != tuple(range(g.num_edges)):
                 raise ViewMismatch("line nodes are not in source-edge order")
-            if any(not (0 <= v < g.num_nodes) for v in view.edge_origin):
+            origin = view.edge_origin
+            if origin and (min(origin) < 0 or max(origin) >= g.num_nodes):
                 raise ViewMismatch("edge origin references a missing source node")
-            base_n = node_off[-1]
             node_feat.extend(g.node_features)
             edge_feat.extend(g.edge_features)
-            edges.extend((u + base_n, v + base_n) for u, v in g.edges)
-            node_off.append(base_n + g.num_nodes)
-            edge_off.append(edge_off[-1] + g.num_edges)
+            edges.extend(g.edges)
+            node_counts.append(g.num_nodes)
+            edge_counts.append(g.num_edges)
+        node_off = np.cumsum([0, *node_counts], dtype=np.int64)
+        edge_off = np.cumsum([0, *edge_counts], dtype=np.int64)
+        edges = _pair_rows(edges)
+        edges += np.repeat(node_off[:-1], edge_counts)[:, None]
         return cls(
             n_graphs=len(pairs),
-            node_feat=np.asarray(node_feat, dtype=np.int64).reshape(-1, 2),
-            edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-            edge_feat=np.asarray(edge_feat, dtype=np.int64).reshape(-1, 2),
-            node_offsets=np.asarray(node_off, dtype=np.int64),
-            edge_offsets=np.asarray(edge_off, dtype=np.int64),
+            node_feat=_pair_rows(node_feat),
+            edges=edges,
+            edge_feat=_pair_rows(edge_feat),
+            node_offsets=node_off,
+            edge_offsets=edge_off,
         )
 
 
@@ -310,8 +330,13 @@ def pretrain(corpus, cfg: TrainConfig, *, metrics_path=None,
 def embed_corpus(corpus, params: DualHelixParams, batch_size: int = 64) -> np.ndarray:
     """Mean-pooled graph representations in corpus order.
 
-    The projection head is bypassed; downstream consumers get the pooled
-    encoder output. Batch composition cannot change the rows.
+    The corpus is transformed once per call and embedded in batches of
+    `batch_size`. Each batch runs `embed_batch`, which computes the
+    graph helix's pooled output and only the line layers that feed it
+    through fusion; the line readout, the projection head and the
+    edge-pair head are training-only. Rows equal
+    `encode_batch(...).graph_repr` bit for bit, and batch composition
+    cannot change them.
     """
     if not corpus:
         return np.zeros((0, params.config.hidden_dim))
@@ -320,8 +345,7 @@ def embed_corpus(corpus, params: DualHelixParams, batch_size: int = 64) -> np.nd
     tensors = params.as_constants()
     for start in range(0, len(pairs), batch_size):
         batch = Batch.build(pairs[start:start + batch_size])
-        enc = encode_batch(batch, tensors, params.config)
-        rows.append(enc.graph_repr.data)
+        rows.append(embed_batch(batch, tensors, params.config).data)
     return np.concatenate(rows, axis=0)
 
 

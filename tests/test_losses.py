@@ -304,6 +304,26 @@ class TestDenseOracle:
                               both_directions=True))
 
     @pytest.mark.parametrize("inclusive", [False, True])
+    def test_skewed_blocks_match_the_oracle_in_bounded_memory(self, rng, inclusive):
+        # one 300-edge graph among 127 two-edge graphs: padding every block
+        # to the largest would hold 128 x 300 x 300 similarities (92 MB)
+        sizes = [2] * 60 + [300] + [2] * 67
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        e = rng.standard_normal((offsets[-1], 32))
+        l = rng.standard_normal((offsets[-1], 32))
+        ids = np.repeat(np.arange(len(sizes)), sizes)
+        want = _dense_oracle(e, l, (ids[:, None] == ids[None, :]) & ~np.eye(len(ids), dtype=bool),
+                             TAU, inclusive, both_directions=False)
+        tracemalloc.start()
+        try:
+            got = self._tape_loss(intra_local, e, l, offsets, TAU, inclusive)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self._assert_matches(got, want)
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("inclusive", [False, True])
     def test_all_single_edge_batch_has_no_within_graph_anchor(self, rng, inclusive):
         e = rng.standard_normal((4, 3))
         l = rng.standard_normal((4, 3))

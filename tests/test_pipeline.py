@@ -88,6 +88,14 @@ class TestBatch:
         with pytest.raises(ViewMismatch, match="missing source node"):
             Batch.build([(g, dangling)])
 
+    def test_view_mismatch_negative_edge_origin(self):
+        g = triangle()
+        view = to_line_graph(g)
+        negative = LineGraphView(graph=view.graph, node_origin=view.node_origin,
+                                 edge_origin=(-1,) + view.edge_origin[1:])
+        with pytest.raises(ViewMismatch, match="missing source node"):
+            Batch.build([(g, negative)])
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             Batch.build([])
@@ -357,6 +365,71 @@ class TestEmbedCorpus:
     def test_empty_corpus(self):
         params = DualHelixParams.initialize(CFG, 0)
         assert embed_corpus([], params).shape == (0, CFG.hidden_dim)
+
+    @staticmethod
+    def _edge_case_corpus():
+        # node 3 of the second graph is isolated; the third has one edge
+        isolated = make_graph([[1, 0], [2, 1], [0, 2], [3, 0]], [(0, 1), (1, 2)],
+                              [[1, 0], [2, 1]])
+        return small_corpus(2, seed=40) + [isolated, single_edge()] + small_corpus(2, seed=50)
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
+    def test_rows_equal_the_training_forward_exactly(self, depth, fusion):
+        cfg = replace(CFG, depth=depth, edge_fusion=fusion)
+        corpus = self._edge_case_corpus()
+        params = DualHelixParams.initialize(cfg, depth)
+        rows = embed_corpus(corpus, params, batch_size=4)
+        for start in (0, 4):
+            batch = Batch.build(transform_corpus(corpus[start:start + 4]))
+            enc = encode_batch(batch, params.as_constants(), cfg)
+            assert np.array_equal(rows[start:start + 4], enc.graph_repr.data)
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
+    def test_runs_only_the_line_layers_the_graph_helix_reads(self, monkeypatch, depth,
+                                                              fusion):
+        # with fusion, graph layer c reads line layer c - 2; without, none
+        layers = []
+        gin_layer = encoder.gin_layer
+
+        def counted(h, neighbours, params, layer):
+            layers.append(layer)
+            return gin_layer(h, neighbours, params, layer)
+
+        monkeypatch.setattr(encoder, "gin_layer", counted)
+        cfg = replace(CFG, depth=depth, edge_fusion=fusion)
+        embed_corpus(self._edge_case_corpus(), DualHelixParams.initialize(cfg, 0))
+        line = max(depth - 2, 0) if fusion else 0
+        assert len(layers) == depth + line
+        assert sorted(layers) == sorted([f"graph.layer{c}" for c in range(depth)]
+                                        + [f"line.layer{c}" for c in range(line)])
+
+    def test_benchmark_hooks_time_every_batch_and_undo(self, monkeypatch):
+        # the embedding twin of TestTrainStep's hook test: perfbench starts a
+        # step at each Batch.build and counts the encoder's gin_layer calls
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        hooks = importlib.import_module("hooks")
+        owners = (pipeline, pipeline.Batch, encoder, losses, autodiff, autodiff.Tape)
+        before = [{k: v for k, v in vars(o).items() if k != "_transform_calls"}
+                  for o in owners]
+        cfg = replace(CFG, depth=3)
+        params = DualHelixParams.initialize(cfg, 0)
+        clock, tracer, patches = hooks.StepClock(), hooks.Tracer(), hooks.Patches()
+        clock.install(patches)
+        tracer.install_corpus_level()
+        tracer.set_step_mode("timed")
+        try:
+            rows = embed_corpus(small_corpus(10), params, batch_size=3)
+        finally:
+            tracer.remove()
+            patches.undo()
+        assert rows.shape == (10, cfg.hidden_dim)
+        assert len(clock.starts) == 4
+        assert tracer.counts["pipeline.transform_corpus"] == 1
+        assert tracer.counts["encoder.gin_layer"] == 4 * (cfg.depth + max(cfg.depth - 2, 0))
+        for owner, saved in zip(owners, before):
+            assert [k for k, v in saved.items() if vars(owner)[k] is not v] == []
 
     def test_local_losses_change_what_embeddings_learn(self):
         # same seed, same corpus: training with and without the local
