@@ -407,7 +407,7 @@ def cosine_sim(a, b) -> Tensor:
 # a and b, which are all the tape keeps.
 # Each row and each column takes its own exact max shift: one global shift
 # would underflow every exp once tau is small. block_xent runs one
-# direction per block, on padded stacks of blocks of one width. Both
+# direction per block, on one padded stack per power-of-two width. Both
 # kernels follow one contract: forward forms the masked softmax once,
 # turns (softmax - onehot) into the gradients on a and b, and keeps only
 # those two E x d arrays; backward scales them by g / tau.
@@ -519,13 +519,11 @@ def block_xent(a, b, offsets: np.ndarray, tau: float,
     Rows offsets[g]:offsets[g + 1] of `a` and `b` form block g; rows are
     expected to be L2-normalised, so the products are cosine similarities.
     Each row of `a` anchors against the rows of `b` in its own block. The
-    blocks are padded into stacks of one width, so that padding stays
-    within 4 x the sum of squared block sizes however skewed the sizes
-    are: one stack at the largest size when that keeps within the bound,
-    else one stack per power of two, each block padded to the least power
-    of two at or above its size. One batched matmul per stack gives its
-    blocks' similarities; padding never enters a sum. Blocks of one row
-    have no negatives and drop out. One tape node; the padded stacks are
+    blocks are padded into one stack per power of two, each block to the
+    least power of two at or above its size, so padding stays within 4 x
+    the sum of squared block sizes however skewed the sizes are. One
+    batched matmul per stack gives its blocks' similarities; padding never
+    enters a sum. Blocks of one row have no negatives and drop out. One tape node; the padded stacks are
     freed in forward and only the gradients on a and b are kept.
     """
     a, b = _as_tensor(a), _as_tensor(b)
@@ -537,13 +535,9 @@ def block_xent(a, b, offsets: np.ndarray, tau: float,
         raise ShapeMismatch(f"block_xent: offsets do not cut {a.shape[0]} rows into blocks")
     block = np.repeat(np.arange(sizes.size), sizes)
     slot = np.arange(a.shape[0]) - offsets[block]
-    largest = int(sizes.max())
-    if sizes.size * largest ** 2 <= 4 * int((sizes ** 2).sum()):
-        widths = np.full(sizes.size, largest)
-    else:
-        # frexp's exponent of s - 1 is its bit length: 1 << it is the least
-        # power of two >= s (1 for s = 1)
-        widths = np.left_shift(1, np.frexp(sizes - 1)[1])
+    # frexp's exponent of s - 1 is its bit length: 1 << it is the least
+    # power of two >= s (1 for s = 1)
+    widths = np.left_shift(1, np.frexp(sizes - 1)[1])
     total, k = 0.0, 0
     ga = np.empty_like(a.data)
     gb = np.empty_like(b.data)
