@@ -362,6 +362,53 @@ def relu(x) -> Tensor:
     return _apply(_tape_of(x), out, (x,), backward)
 
 
+def gin_mlp(h, neighbours, self_loop, w1, b1, w2, b2) -> Tensor:
+    """relu(relu((h + neighbours + self_loop) @ w1 + b1) @ w2 + b2), one GIN
+    layer update, as one tape node.
+
+    `h` and `neighbours` are n x d, `self_loop` 1 x d, `w1` d x k, `b1`
+    1 x k, `w2` k x m and `b2` 1 x m. The arithmetic runs in the order of
+    the same update composed from add, matmul and relu, so values and
+    gradients equal that composition bit for bit. Forward works in place
+    and keeps the layer input, the hidden post-ReLU array (backward reads
+    the inner mask from it) and, when a tape records the call, the outer
+    mask as bools: keeping the output instead would hold every line-helix
+    layer's output until backward, which nothing else does. An untaped
+    call forms no mask. Backward never writes into its incoming gradient.
+    """
+    ins = tuple(_as_tensor(t) for t in (h, neighbours, self_loop, w1, b1, w2, b2))
+    h, neighbours, self_loop, w1, b1, w2, b2 = ins
+    n, d = h.shape
+    k, m = w1.shape[1], w2.shape[1]
+    expected = ((n, d), (n, d), (1, d), (d, k), (1, k), (k, m), (1, m))
+    if tuple(t.shape for t in ins) != expected:
+        raise ShapeMismatch("gin_mlp: h, neighbours, self_loop, w1, b1, w2, b2 have shapes "
+                            f"{', '.join(str(t.shape) for t in ins)}, expected "
+                            f"{', '.join(map(str, expected))}")
+    tape = _tape_of(*ins)
+    w1_data, w2_data = w1.data, w2.data
+    x = h.data + neighbours.data
+    x += self_loop.data
+    z = x @ w1_data
+    z += b1.data
+    np.maximum(z, 0.0, out=z)
+    out = z @ w2_data
+    out += b2.data
+    np.maximum(out, 0.0, out=out)
+    mask = out > 0.0 if tape is not None else None
+
+    def backward(g):
+        g2 = g * mask
+        gz = g2 @ w2_data.T
+        gz *= z > 0.0
+        gx = gz @ w1_data.T
+        return (gx, gx, gx.sum(axis=0, keepdims=True),
+                x.T @ gz, gz.sum(axis=0, keepdims=True),
+                z.T @ g2, g2.sum(axis=0, keepdims=True))
+
+    return _apply(tape, out, ins, backward)
+
+
 def l2_normalize_rows(x) -> Tensor:
     x = _as_tensor(x)
     norms = np.linalg.norm(x.data, axis=1, keepdims=True)

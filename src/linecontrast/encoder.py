@@ -44,6 +44,7 @@ from .autodiff import (
     constant,
     endpoint_sum,
     gather_rows,
+    gin_mlp,
     incident_sum,
     matmul,
     mul,
@@ -190,10 +191,11 @@ def gin_layer(h: Tensor, neighbours: Tensor, params: dict[str, Tensor], layer: s
     """One update of `layer` (a parameter prefix such as "graph.layer0"):
     relu(MLP(h_v + neighbours_v + self-loop vector)), where neighbours_v
     sums, over the neighbours w of v, h_w plus the attribute of the edge
-    joining them."""
-    x = add(add(h, neighbours), params[f"{layer}.self_loop"])
-    x = relu(add(matmul(x, params[f"{layer}.mlp1.w"]), params[f"{layer}.mlp1.b"]))
-    return relu(add(matmul(x, params[f"{layer}.mlp2.w"]), params[f"{layer}.mlp2.b"]))
+    joining them, and the MLP is relu(x W1 + b1) W2 + b2. One gin_mlp
+    call, so one tape node per layer and helix."""
+    return gin_mlp(h, neighbours, params[f"{layer}.self_loop"],
+                   params[f"{layer}.mlp1.w"], params[f"{layer}.mlp1.b"],
+                   params[f"{layer}.mlp2.w"], params[f"{layer}.mlp2.b"])
 
 
 @dataclass

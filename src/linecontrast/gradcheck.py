@@ -185,7 +185,35 @@ def _primitive_cases(rng: np.random.Generator) -> dict[str, list[Case]]:
     cases["endpoint_sum"] = [
         (lambda t: _scalarize(ad.endpoint_sum(t["y"], inc), w43), {"y": mat(5, 3)}),
     ]
+    cases["gin_mlp"] = [_gin_mlp_case(rng)]
     return cases
+
+
+_KINK_MARGIN = 1e-2
+
+
+def _gin_mlp_case(rng: np.random.Generator) -> Case:
+    """One GIN update on 5 rows (width 3, hidden 6, out 4) with units dead
+    and alive in both ReLU halves. Inputs are redrawn until every
+    pre-activation lies at least _KINK_MARGIN from the kink, far beyond
+    what a finite-difference step moves it."""
+    shapes = {"h": (5, 3), "neighbours": (5, 3), "self_loop": (1, 3),
+              "w1": (3, 6), "b1": (1, 6), "w2": (6, 4), "b2": (1, 4)}
+    weights = rng.standard_normal((5, 4))
+    while True:
+        arrays = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        x = arrays["h"] + arrays["neighbours"] + arrays["self_loop"]
+        pre1 = x @ arrays["w1"] + arrays["b1"]
+        pre2 = np.maximum(pre1, 0.0) @ arrays["w2"] + arrays["b2"]
+        if all(np.abs(p).min() >= _KINK_MARGIN and (p < 0).any() and (p > 0).any()
+               for p in (pre1, pre2)):
+            break
+
+    def build(t: dict[str, Tensor]) -> Tensor:
+        return _scalarize(ad.gin_mlp(t["h"], t["neighbours"], t["self_loop"], t["w1"],
+                                     t["b1"], t["w2"], t["b2"]), weights)
+
+    return build, arrays
 
 
 def _loss_cases(rng: np.random.Generator) -> dict[str, list[Case]]:

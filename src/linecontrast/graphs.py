@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class InvariantViolation(ValueError):
     """A graph record violates the structural invariants."""
@@ -29,16 +31,32 @@ class EmptyEdgeSet(ValueError):
 FeaturePair = tuple[int, int]
 
 
-def _as_pairs(rows: Iterable[Sequence[int]], what: str) -> tuple[FeaturePair, ...]:
+def _int_pairs(rows: Iterable[Sequence[int]], what: str) -> list[tuple[int, int]]:
+    """The rows as pairs of ints. Only integers pass, numpy integers
+    included: a bool, float, string or null entry raises, as does a row
+    that is not a pair. Errors name the row by `what` and its index."""
     out = []
     for i, row in enumerate(rows):
-        r = tuple(int(x) for x in row)
-        if len(r) != 2:
-            raise InvariantViolation(f"{what} {i}: expected 2 entries, got {len(r)}")
-        if r[0] < 0 or r[1] < 0:
-            raise InvariantViolation(f"{what} {i}: negative category index {r}")
-        out.append(r)
-    return tuple(out)
+        try:
+            a, b = row
+        except (TypeError, ValueError):
+            got = f"{len(row)} entries" if hasattr(row, "__len__") else repr(row)
+            raise InvariantViolation(f"{what} {i}: expected a pair, got {got}") from None
+        if type(a) is not int or type(b) is not int:
+            for x in (a, b):
+                if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                    raise InvariantViolation(f"{what} {i}: entry {x!r} is not an integer")
+            a, b = int(a), int(b)
+        out.append((a, b))
+    return out
+
+
+def _as_pairs(rows: Iterable[Sequence[int]], what: str) -> tuple[FeaturePair, ...]:
+    pairs = _int_pairs(rows, what)
+    for i, (a, b) in enumerate(pairs):
+        if a < 0 or b < 0:
+            raise InvariantViolation(f"{what} {i}: negative category index {(a, b)}")
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -91,7 +109,7 @@ def make_graph(node_features, edges, edge_features) -> MolecularGraph:
     """Build a validated MolecularGraph from plain sequences."""
     return MolecularGraph(
         node_features=_as_pairs(node_features, "node"),
-        edges=tuple((int(u), int(v)) for u, v in edges),
+        edges=tuple(_int_pairs(edges, "edge")),
         edge_features=_as_pairs(edge_features, "edge feature"),
     )
 

@@ -292,6 +292,9 @@ def pretrain(corpus, cfg: TrainConfig, *, metrics_path=None,
     else:
         if init.params.config != cfg.encoder:
             raise ConfigMismatch("checkpoint encoder config differs from the requested one")
+        if init.optimizer.learning_rate != cfg.learning_rate:
+            raise ConfigMismatch(f"checkpoint learning rate {init.optimizer.learning_rate!r} "
+                                 f"differs from the requested {cfg.learning_rate!r}")
         params, opt, step, first_epoch = init.params, init.optimizer, init.step, init.epochs_done
     reports: list[LossReport] = []
     epoch_means: dict[int, float] = {}

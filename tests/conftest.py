@@ -51,3 +51,20 @@ def bruteforce_line_edges(g: MolecularGraph) -> set[tuple[int, int, int]]:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# corpus records with a non-integer entry or row, each with the message
+# that names it; load_corpus prefixes the line number
+NON_INTEGER_RECORDS = {
+    "node row 5": ('{"nodes":[[0,0],5],"edges":[[0,1,0,0]]}', "node 1: expected a pair, got 5"),
+    "null entry": ('{"nodes":[[0,null],[0,0]],"edges":[[0,1,0,0]]}',
+                   "node 0: entry None is not an integer"),
+    "string entry": ('{"nodes":[[0,0],["3",0]],"edges":[[0,1,0,0]]}',
+                     "node 1: entry '3' is not an integer"),
+    "endpoint 1.5": ('{"nodes":[[0,0],[0,0]],"edges":[[0,1.5,0,0]]}',
+                     "edge 0: entry 1.5 is not an integer"),
+    "boolean bond": ('{"nodes":[[0,0],[0,0]],"edges":[[0,1,true,0]]}',
+                     "edge feature 0: entry True is not an integer"),
+    "float direction": ('{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,1.0]]}',
+                        "edge feature 0: entry 1.0 is not an integer"),
+}

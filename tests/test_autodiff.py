@@ -12,6 +12,7 @@ from linecontrast.autodiff import (
     ZeroNormRow,
     adam_step,
 )
+from linecontrast.gradcheck import _gin_mlp_case, run_gradcheck
 
 
 def scalar_loss_sum_of_squares(tape, values):
@@ -265,6 +266,74 @@ class TestIncidenceSums:
             ad.incident_sum(ad.constant(rng.standard_normal((6, 4))), inc)  # rows
         with pytest.raises(ShapeMismatch, match="endpoint_sum"):
             ad.endpoint_sum(ad.constant(rng.standard_normal((5, 4))), inc)
+
+
+class TestGinMlp:
+    """gin_mlp against the same update composed from add, matmul and relu."""
+
+    NAMES = ("h", "neighbours", "self_loop", "w1", "b1", "w2", "b2")
+    SHAPES = ((7, 4), (7, 4), (1, 4), (4, 8), (1, 8), (8, 4), (1, 4))
+
+    @staticmethod
+    def generic(h, neighbours, self_loop, w1, b1, w2, b2):
+        x = ad.add(ad.add(h, neighbours), self_loop)
+        x = ad.relu(ad.add(ad.matmul(x, w1), b1))
+        return ad.relu(ad.add(ad.matmul(x, w2), b2))
+
+    def run(self, fn, arrays, weights):
+        tape = Tape()
+        ins = [tape.watch(a) for a in arrays]
+        out = fn(*ins)
+        loss = ad.matmul(ad.matmul(ad.constant(np.ones((1, out.shape[0]))),
+                                   ad.mul(out, ad.constant(weights))),
+                         ad.constant(np.ones((out.shape[1], 1))))
+        tape.backward(loss)
+        return out.data, [tape.grad(t) for t in ins]
+
+    def test_values_and_gradients_equal_the_composition_bitwise(self, rng):
+        arrays = [rng.standard_normal(s) for s in self.SHAPES]
+        h, neighbours, self_loop, w1, b1, w2, b2 = arrays
+        pre1 = (h + neighbours + self_loop) @ w1 + b1
+        pre2 = np.maximum(pre1, 0.0) @ w2 + b2
+        for pre in (pre1, pre2):  # units die and live in both halves
+            assert (pre < 0).any() and (pre > 0).any()
+        weights = rng.standard_normal((7, 4))
+        out, grads = self.run(ad.gin_mlp, arrays, weights)
+        want_out, want_grads = self.run(self.generic, arrays, weights)
+        assert np.array_equal(out, want_out)
+        for name, got, want in zip(self.NAMES, grads, want_grads):
+            assert np.array_equal(got, want), name
+
+    def test_one_tape_node_whose_backward_leaves_its_gradient_alone(self, rng):
+        tape = Tape()
+        out = ad.gin_mlp(*(tape.watch(rng.standard_normal(s)) for s in self.SHAPES))
+        assert len(tape._ops) == 1 and tape._ops[0].out_slot == out.slot
+        g = rng.standard_normal(out.shape)
+        kept = g.copy()
+        grads = tape._ops[0].backward(g)
+        assert np.array_equal(g, kept)
+        assert [x.shape for x in grads] == list(self.SHAPES)
+
+    @pytest.mark.parametrize("which", range(7), ids=NAMES)
+    def test_bad_shape_rejected(self, rng, which):
+        arrays = [rng.standard_normal(s) for s in self.SHAPES]
+        rows, cols = self.SHAPES[which]
+        arrays[which] = rng.standard_normal((rows + 1, cols))
+        with pytest.raises(ShapeMismatch, match="gin_mlp"):
+            ad.gin_mlp(*arrays)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_gradcheck_case_clears_the_relu_kink(self, seed):
+        _, arrays = _gin_mlp_case(np.random.default_rng(seed))
+        x = arrays["h"] + arrays["neighbours"] + arrays["self_loop"]
+        pre1 = x @ arrays["w1"] + arrays["b1"]
+        pre2 = np.maximum(pre1, 0.0) @ arrays["w2"] + arrays["b2"]
+        for pre in (pre1, pre2):
+            assert np.abs(pre).min() >= 1e-2
+            assert (pre < 0).any() and (pre > 0).any()
+        assert [r.passed for r in run_gradcheck(seed, components=["gin_mlp"])] == [True]
+        assert [r.passed for r in run_gradcheck(seed, components=["gin_mlp"],
+                                                inject_bug="gin_mlp")] == [False]
 
 
 def two_direction_reference(a, b, ids, tau, inclusive):

@@ -17,6 +17,8 @@ from linecontrast.pipeline import (
 )
 from linecontrast.synth import random_molecular_graph
 
+from conftest import NON_INTEGER_RECORDS
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -67,6 +69,14 @@ class TestTransformCommand:
         src.write_text('{"nodes":[[0,0]],"edges":[[0,5,0,0]]}\n')
         assert main(["transform", "--in", str(src), "--out", str(tmp_path / "o")]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record, message", NON_INTEGER_RECORDS.values(),
+                             ids=NON_INTEGER_RECORDS.keys())
+    def test_non_integer_entry_exits_1_with_one_line(self, tmp_path, capsys, record, message):
+        src = tmp_path / "bad.jsonl"
+        src.write_text('{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,0]]}\n' + record + "\n")
+        assert main(["transform", "--in", str(src), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: line 2: {message}"]
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["transform", "--in", str(tmp_path / "nope.jsonl"),
@@ -161,6 +171,20 @@ class TestPretrainCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: ") and "step 0" in err[0]
+
+    def test_resume_with_another_learning_rate_exits_2(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path)
+        code, out_dir = self.run_pretrain(tmp_path, corpus)
+        assert code == 0
+        kept = [(out_dir / f).read_bytes() for f in ("checkpoint.bin", "metrics.jsonl")]
+        capsys.readouterr()
+        code = main(["pretrain", "--corpus", str(corpus), "--out", str(out_dir),
+                     "--epochs", "2", "--batch-size", "4", "--hidden-dim", "16",
+                     "--depth", "2", "--seed", "1", "--learning-rate", "0.5", "--resume"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and "learning rate" in err[0]
+        assert [(out_dir / f).read_bytes() for f in ("checkpoint.bin", "metrics.jsonl")] == kept
 
     def test_resume_without_checkpoint_exits_2(self, tmp_path):
         corpus = write_corpus(tmp_path)

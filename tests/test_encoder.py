@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from linecontrast import encoder
 from linecontrast.autodiff import Tape, constant
 from linecontrast.encoder import (
     DualHelixParams,
@@ -140,6 +141,21 @@ class TestEmbedInputs:
 
 
 class TestGinLayer:
+    def test_each_call_records_one_tape_node(self, monkeypatch):
+        tape = Tape()
+        params = params_for().watched(tape)
+        added = []
+
+        def counted(h, neighbours, params, layer):
+            before = len(tape._ops)
+            out = gin_layer(h, neighbours, params, layer)
+            added.append(len(tape._ops) - before)
+            return out
+
+        monkeypatch.setattr(encoder, "gin_layer", counted)
+        encode_batch(batch_of(rand_graph(3), rand_graph(4)), params, CFG)
+        assert added == [1] * (2 * CFG.depth)
+
     def test_isolated_node_sees_only_self_and_loop(self):
         # node 2 meets no edge, so the aggregation the encoder derives from
         # the edge list must leave it its own state and the self-loop

@@ -178,3 +178,17 @@ class TestRecords:
     def test_short_edge_row_rejected(self):
         with pytest.raises(InvariantViolation):
             graph_from_record({"nodes": [[0, 0], [0, 0]], "edges": [[0, 1]]})
+
+
+class TestIntegerEntries:
+    def test_numpy_integers_accepted(self):
+        i = np.int64
+        g = make_graph([[i(0), i(1)], [i(2), i(0)]], [(np.int32(0), i(1))], [[i(1), i(0)]])
+        assert g == make_graph([[0, 1], [2, 0]], [(0, 1)], [[1, 0]])
+        assert all(type(x) is int for row in g.node_features + g.edges for x in row)
+
+    @pytest.mark.parametrize("bad", [np.float64(1.0), 1.0, True, np.True_, None, "1"],
+                             ids=["np.float64", "float", "bool", "np.bool_", "None", "str"])
+    def test_non_integer_endpoint_rejected(self, bad):
+        with pytest.raises(InvariantViolation, match="edge 0: entry .* is not an integer"):
+            make_graph([[0, 0], [0, 0]], [(0, bad)], [[0, 0]])

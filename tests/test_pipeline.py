@@ -32,7 +32,7 @@ from linecontrast.pipeline import (
 )
 from linecontrast.synth import make_hard_negative_pair, random_molecular_graph
 
-from conftest import path3, single_edge, star, triangle
+from conftest import NON_INTEGER_RECORDS, path3, single_edge, star, triangle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -120,6 +120,16 @@ class TestCorpusIO:
         path.write_text(good + "\n" + bad + "\n")
         with pytest.raises(InvariantViolation, match="line 2"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("record, message", NON_INTEGER_RECORDS.values(),
+                             ids=NON_INTEGER_RECORDS.keys())
+    def test_non_integer_entry_names_line_and_row(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps({"nodes": [[0, 0], [0, 0]], "edges": [[0, 1, 0, 0]]})
+        path.write_text(good + "\n" + record + "\n")
+        with pytest.raises(InvariantViolation) as err:
+            load_corpus(path)
+        assert str(err.value) == f"line 2: {message}"
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
