@@ -3,7 +3,7 @@ line graphs: graph transformation, a dual message-passing encoder with
 cross-view edge-attribute exchange, three contrastive losses, and a
 reproducible training pipeline over a minimal reverse-mode tape."""
 
-from .autodiff import AdamState, Tape, Tensor, adam_step, cosine_sim
+from .autodiff import AdamState, Tape, Tensor, adam_step
 from .encoder import BatchEncoding, DualHelixParams, EncoderConfig, encode_batch
 from .graphs import (
     EmptyEdgeSet,
@@ -33,7 +33,7 @@ from .wl import WlHash, wl_hash
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "Tape", "Tensor", "adam_step", "cosine_sim",
+    "AdamState", "Tape", "Tensor", "adam_step",
     "BatchEncoding", "DualHelixParams", "EncoderConfig", "encode_batch",
     "EmptyEdgeSet", "InvariantViolation", "LineGraphView", "MolecularGraph",
     "line_edge_count", "make_graph", "permute_nodes", "to_line_graph",

@@ -210,27 +210,16 @@ def scale(a, c: float) -> Tensor:
     return _apply(_tape_of(a), out, (a,), backward)
 
 
-def matmul(a, b, transpose_b: bool = False) -> Tensor:
+def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    inner_b = b.shape[1] if transpose_b else b.shape[0]
-    if a.shape[1] != inner_b:
-        raise ShapeMismatch(
-            f"matmul: {a.shape} vs {b.shape}" + (" (transposed)" if transpose_b else "")
-        )
+    if a.shape[1] != b.shape[0]:
+        raise ShapeMismatch(f"matmul: {a.shape} vs {b.shape}")
     a_data, b_data = a.data, b.data
-    if transpose_b:
-        out = a_data @ b_data.T
 
-        def backward(g):
-            return g @ b_data, g.T @ a_data
+    def backward(g):
+        return g @ b_data.T, a_data.T @ g
 
-    else:
-        out = a_data @ b_data
-
-        def backward(g):
-            return g @ b_data.T, a_data.T @ g
-
-    return _apply(_tape_of(a, b), out, (a, b), backward)
+    return _apply(_tape_of(a, b), a_data @ b_data, (a, b), backward)
 
 
 def concat_cols(a, b) -> Tensor:
@@ -410,6 +399,8 @@ def gin_mlp(h, neighbours, self_loop, w1, b1, w2, b2) -> Tensor:
 
 
 def l2_normalize_rows(x) -> Tensor:
+    """Each row divided by its L2 norm. Rows with norm below 1e-12 raise
+    ZeroNormRow; a zero embedding signals an upstream bug."""
     x = _as_tensor(x)
     norms = np.linalg.norm(x.data, axis=1, keepdims=True)
     small = norms < 1e-12
@@ -421,17 +412,6 @@ def l2_normalize_rows(x) -> Tensor:
         return ((g - out * (g * out).sum(axis=1, keepdims=True)) / norms,)
 
     return _apply(_tape_of(x), out, (x,), backward)
-
-
-def cosine_sim(a, b) -> Tensor:
-    """Pairwise cosine similarities: out[i, j] = cos(a_i, b_j).
-
-    Differentiable through both arguments. Rows with norm below 1e-12 are
-    rejected; a zero embedding signals an upstream bug."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeMismatch(f"cosine_sim: {a.shape} vs {b.shape}")
-    return matmul(l2_normalize_rows(a), l2_normalize_rows(b), transpose_b=True)
 
 
 # --- fused contrastive cross-entropy -----------------------------------------
@@ -647,17 +627,11 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], learning_rate: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-            step=0,
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def for_params(cls, params: dict[str, np.ndarray],
+                   learning_rate: float = 1e-3) -> "AdamState":
+        return cls(learning_rate=learning_rate,
+                   m={k: np.zeros_like(p) for k, p in params.items()},
+                   v={k: np.zeros_like(p) for k, p in params.items()})
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],

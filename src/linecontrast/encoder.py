@@ -1,13 +1,14 @@
 """Dual message-passing encoder over a graph and its line graph.
 
 Both helices run the same edge-attributed GIN update in lockstep, and
-every layer c picks its edge attributes by one rule. When c > 0 and fusion
-is on, each helix reads the other helix's input states to layer c - 1:
-the graph side reads the line-node vector of each edge (line node k is
-source edge k), the line side reads, for each line edge, the vector of
-the source node its two edges share. Otherwise each helix looks up raw
-attributes in its own layer-c edge tables, as the GIN of Hu et al. (ICLR
-2020) does at every layer. The vocabularies are checked once per batch.
+every layer c picks its edge attributes by one rule, own_edge_tables.
+When c > 0 and fusion is on, each helix reads the other helix's input
+states to layer c - 1: the graph side reads the line-node vector of each
+edge (line node k is source edge k), the line side reads, for each line
+edge, the vector of the source node its two edges share. Otherwise each
+helix looks up raw attributes in its own layer-c edge tables, as the GIN
+of Hu et al. (ICLR 2020) does at every layer; only those layers hold
+edge tables. The vocabularies are checked once per batch.
 
 Both helices run on the V x E incidence matrix B of the source graph,
 built once per batch; the line graph's own arcs are never built. Two
@@ -31,7 +32,7 @@ readout; with fusion off, it runs no line layer at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import sqrt
 
 import numpy as np
@@ -107,6 +108,12 @@ class EncoderConfig:
                 self.bond_type_vocab, self.bond_direction_vocab)
 
 
+def own_edge_tables(cfg: EncoderConfig, c: int) -> bool:
+    """Whether layer c of each helix looks up its own edge tables: layer 0
+    always, the later layers only with fusion off."""
+    return c == 0 or not cfg.edge_fusion
+
+
 def param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, int], float]]:
     """(name, shape, init bound) for every parameter, in a fixed order.
 
@@ -128,8 +135,9 @@ def param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, int], float]]:
         for field_name, size in node_vocabs:
             specs.append((f"{name}.embed.{field_name}", (size, d), emb))
         for c in range(cfg.depth):
-            for field_name, size in edge_vocabs:
-                specs.append((f"{name}.layer{c}.edge.{field_name}", (size, d), emb))
+            if own_edge_tables(cfg, c):
+                for field_name, size in edge_vocabs:
+                    specs.append((f"{name}.layer{c}.edge.{field_name}", (size, d), emb))
             specs.append((f"{name}.layer{c}.self_loop", (1, d), emb))
             affine(f"{name}.layer{c}.mlp1", d, h)
             affine(f"{name}.layer{c}.mlp2", h, d)
@@ -159,11 +167,16 @@ class DualHelixParams:
 
     @classmethod
     def initialize(cls, config: EncoderConfig, seed: int) -> "DualHelixParams":
+        """Draw every array of the fusion-off model from one seeded stream,
+        in param_specs order, and keep those that `config` holds; so an
+        array's values do not depend on which edge tables fusion drops."""
         rng = np.random.default_rng(seed)
-        arrays = {
-            name: rng.uniform(-bound, bound, size=shape)
-            for name, shape, bound in param_specs(config)
-        }
+        held = param_shapes(config)
+        arrays = {}
+        for name, shape, bound in param_specs(replace(config, edge_fusion=False)):
+            arr = rng.uniform(-bound, bound, size=shape)
+            if name in held:
+                arrays[name] = arr
         return cls(config=config, seed=seed, arrays=arrays)
 
     def watched(self, tape) -> dict[str, Tensor]:
@@ -237,11 +250,10 @@ def _helices(batch, params: dict[str, Tensor], cfg: EncoderConfig,
     """Run the graph helix for all cfg.depth layers and, in lockstep, the
     line helix for its first `line_layers`; return both helices' last states.
 
-    Layer c takes the other helix's input states to layer c-1 as edge
-    attributes when c > 0 and fusion is on; otherwise each helix looks up
-    its own layer-c edge tables. With fusion on, graph layer c reads the
-    output of line layer c - 2, so `line_layers` must be at least
-    depth - 2.
+    Layer c looks up its own edge tables when own_edge_tables(cfg, c);
+    otherwise it takes the other helix's input states to layer c-1 as edge
+    attributes. With fusion on, graph layer c reads the output of line
+    layer c - 2, so `line_layers` must be at least depth - 2.
     """
     _check_vocab(batch.node_feat, (cfg.atomic_vocab, cfg.chirality_vocab), "node")
     _check_vocab(batch.edge_feat, (cfg.bond_type_vocab, cfg.bond_direction_vocab), "edge")
@@ -258,14 +270,14 @@ def _helices(batch, params: dict[str, Tensor], cfg: EncoderConfig,
     h_prev = e_prev = None
     for c in range(cfg.depth):
         line = c < line_layers
-        if c > 0 and cfg.edge_fusion:
-            g_eattr, l_eattr = e_prev, h_prev
-        else:
+        if own_edge_tables(cfg, c):
             g_eattr = embed_pair(batch.edge_feat, params[f"graph.layer{c}.edge.bond_type"],
                                  params[f"graph.layer{c}.edge.bond_direction"])
             if line:
                 l_eattr = embed_pair(batch.node_feat, params[f"line.layer{c}.edge.atomic"],
                                      params[f"line.layer{c}.edge.chirality"])
+        else:
+            g_eattr, l_eattr = e_prev, h_prev
         # node v sums B(B^T h + a) - D h: the far end's h plus a, per edge at v
         g_neighbours = add(incident_sum(add(endpoint_sum(h, inc), g_eattr), inc),
                            mul(h, neg_deg))

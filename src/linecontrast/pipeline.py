@@ -295,6 +295,9 @@ def pretrain(corpus, cfg: TrainConfig, *, metrics_path=None,
         if init.optimizer.learning_rate != cfg.learning_rate:
             raise ConfigMismatch(f"checkpoint learning rate {init.optimizer.learning_rate!r} "
                                  f"differs from the requested {cfg.learning_rate!r}")
+        if init.params.seed != cfg.seed:
+            raise ConfigMismatch(f"checkpoint seed {init.params.seed} differs from the "
+                                 f"requested {cfg.seed}")
         params, opt, step, first_epoch = init.params, init.optimizer, init.step, init.epochs_done
     reports: list[LossReport] = []
     epoch_means: dict[int, float] = {}

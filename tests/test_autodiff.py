@@ -65,32 +65,17 @@ class TestForward:
 
     def test_deterministic_repetition(self, rng):
         a = rng.standard_normal((4, 4))
-        runs = [ad.cosine_sim(ad.constant(a), ad.constant(a)).data for _ in range(2)]
+        runs = [ad.matmul(ad.l2_normalize_rows(ad.constant(a)), ad.constant(a)).data
+                for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
 
 
-class TestCosineSim:
-    def test_row_against_itself_is_one(self):
-        v = ad.constant([[3.0, 4.0]])
-        assert ad.cosine_sim(v, v).data[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_unit_rows(self):
-        a = ad.constant([[1.0, 0.0]])
-        b = ad.constant([[0.0, 1.0]])
-        assert ad.cosine_sim(a, b).data[0, 0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_scalar_loop(self, rng):
-        a = rng.standard_normal((4, 8))
-        b = rng.standard_normal((4, 8))
-        got = ad.cosine_sim(ad.constant(a), ad.constant(b)).data
-        for i in range(4):
-            for j in range(4):
-                expected = a[i] @ b[j] / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
-                assert abs(got[i, j] - expected) < 1e-12
-
+class TestL2NormalizeRows:
     def test_zero_norm_row_rejected(self):
-        with pytest.raises(ZeroNormRow):
-            ad.cosine_sim(ad.constant(np.zeros((2, 3))), ad.constant(np.ones((2, 3))))
+        x = np.ones((3, 2))
+        x[1] = 0.0
+        with pytest.raises(ZeroNormRow, match="row 1"):
+            ad.l2_normalize_rows(ad.constant(x))
 
 
 class TestBackward:

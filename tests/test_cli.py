@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,47 @@ class TestPretrainCommand:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ") and "learning rate" in err[0]
         assert [(out_dir / f).read_bytes() for f in ("checkpoint.bin", "metrics.jsonl")] == kept
+
+    def test_resume_with_another_seed_exits_2(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path)
+        code, out_dir = self.run_pretrain(tmp_path, corpus)
+        assert code == 0
+        kept = [(out_dir / f).read_bytes() for f in ("checkpoint.bin", "metrics.jsonl")]
+        capsys.readouterr()
+        # no --seed: the preset's seed 0, not the checkpoint's 1
+        code = main(["pretrain", "--corpus", str(corpus), "--out", str(out_dir),
+                     "--epochs", "2", "--batch-size", "4", "--hidden-dim", "16",
+                     "--depth", "2", "--resume"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+        assert [(out_dir / f).read_bytes() for f in ("checkpoint.bin", "metrics.jsonl")] == kept
+
+    def test_checkpoint_with_unread_edge_tables_resumes_like_a_straight_run(self, tmp_path):
+        # older checkpoints hold edge tables for every layer; with fusion on
+        # the layers past the first never read them, so Adam left them at
+        # their initial draws with zero moments
+        corpus = write_corpus(tmp_path)
+        code, old_dir = self.run_pretrain(tmp_path, corpus)
+        assert code == 0
+        ckpt_path = old_dir / "checkpoint.bin"
+        ck = load_checkpoint(ckpt_path)
+        drawn = DualHelixParams.initialize(replace(ck.config, edge_fusion=False), 1).arrays
+        unread = sorted(set(drawn) - {k.removeprefix("model.") for k in ck.arrays})
+        assert unread == ["graph.layer1.edge.bond_direction", "graph.layer1.edge.bond_type",
+                          "line.layer1.edge.atomic", "line.layer1.edge.chirality"]
+        arrays = dict(ck.arrays)
+        for name in unread:
+            arrays[f"model.{name}"] = drawn[name]
+            arrays[f"opt.m.{name}"] = arrays[f"opt.v.{name}"] = np.zeros_like(drawn[name])
+        save_checkpoint(ckpt_path, ck.config, arrays, ck.meta)
+        straight_dir = tmp_path / "straight"
+        for out_dir, extra in ((old_dir, ["--resume"]), (straight_dir, [])):
+            assert main(["pretrain", "--corpus", str(corpus), "--out", str(out_dir),
+                         "--epochs", "2", "--batch-size", "4", "--hidden-dim", "16",
+                         "--depth", "2", "--seed", "1", *extra]) == 0
+        for name in ("checkpoint.bin", "metrics.jsonl"):
+            assert (old_dir / name).read_bytes() == (straight_dir / name).read_bytes()
 
     def test_resume_without_checkpoint_exits_2(self, tmp_path):
         corpus = write_corpus(tmp_path)

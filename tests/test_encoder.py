@@ -16,6 +16,7 @@ from linecontrast.encoder import (
     project,
     readout,
 )
+from linecontrast.gradcheck import _analytic_grads, _objective_case
 from linecontrast.graphs import make_graph, permute_nodes, to_line_graph
 from linecontrast.pipeline import Batch
 from linecontrast.synth import random_molecular_graph
@@ -418,6 +419,27 @@ class TestParams:
         shapes = param_shapes(CFG)
         assert set(p.arrays) == set(shapes)
         assert all(tuple(p.arrays[k].shape) == shapes[k] for k in shapes)
+
+    @pytest.mark.parametrize("fusion, count", [(True, 62), (False, 78)])
+    def test_fusion_drops_the_edge_tables_of_layers_past_the_first(self, fusion, count):
+        shapes = param_shapes(EncoderConfig(edge_fusion=fusion))
+        assert len(shapes) == count
+        edge_layers = {name.split(".")[1] for name in shapes if ".edge." in name}
+        assert edge_layers == ({"layer0"} if fusion else {f"layer{c}" for c in range(5)})
+
+    def test_fused_arrays_equal_their_unfused_draws(self):
+        # every array is drawn in the fusion-off order, so dropping the
+        # unread tables moves no other parameter
+        fused = params_for(EncoderConfig(), seed=3).arrays
+        unfused = params_for(EncoderConfig(edge_fusion=False), seed=3).arrays
+        assert set(fused) < set(unfused)
+        assert all(np.array_equal(arr, unfused[name]) for name, arr in fused.items())
+
+    @pytest.mark.parametrize("seed, fusion", [(0, True), (1, False)],
+                             ids=["fusion on", "fusion off"])
+    def test_every_parameter_gets_a_gradient(self, seed, fusion):
+        grads = _analytic_grads(*_objective_case(seed, edge_fusion=fusion))
+        assert [name for name, g in grads.items() if not g.any()] == []
 
     def test_embedding_bound_follows_hidden_dim(self):
         p = params_for()
