@@ -1,5 +1,5 @@
 """Dense 2-D float64 tensors with a recording tape for reverse-mode
-gradients, plus an Adam optimizer.
+gradients, plus an Adam optimizer over flat parameter buffers.
 
 Values are matrices; vectors are stored as 1 x d or n x 1, scalars as
 1 x 1. A Tape records primitive applications in execution order, which is
@@ -614,47 +614,119 @@ def block_xent(a, b, offsets: np.ndarray, tau: float,
 
 # --- Adam ---------------------------------------------------------------------
 
+class FlatLayout:
+    """Named array shapes packed in sorted name order into one flat float64
+    buffer, the order of a checkpoint's data. `views` reshapes slices of a
+    buffer into the named arrays; `pack` checks named arrays against the
+    layout and concatenates them into a buffer."""
+
+    __slots__ = ("names", "shapes", "size", "_bounds")
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        self.names = sorted(shapes)
+        self.shapes = [tuple(shapes[name]) for name in self.names]
+        ends = np.cumsum([0] + [int(np.prod(shape)) for shape in self.shapes]).tolist()
+        self.size = ends[-1]
+        self._bounds = list(zip(ends[:-1], ends[1:]))
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """The named arrays as reshaped views that share `flat`'s memory."""
+        return {name: flat[a:b].reshape(shape)
+                for name, shape, (a, b) in zip(self.names, self.shapes, self._bounds)}
+
+    def pack(self, arrays: dict[str, np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+        """`arrays` concatenated in layout order into `out` (a new buffer when
+        omitted). Every name and shape is checked before `out` is written;
+        ShapeMismatch names the first array that is missing, unknown or
+        misshaped."""
+        if arrays.keys() != set(self.names):
+            name = min(set(self.names).symmetric_difference(arrays))
+            raise ShapeMismatch(f"array {name} is {'unknown' if name in arrays else 'missing'}")
+        parts = [arrays[name] for name in self.names]
+        for name, part, shape in zip(self.names, parts, self.shapes):
+            if part.shape != shape:
+                raise ShapeMismatch(f"array {name} has shape {part.shape}, expected {shape}")
+        if out is None:
+            out = np.empty(self.size)
+        return np.concatenate(parts, axis=None, out=out)
+
+
 @dataclass
 class AdamState:
-    """Per-parameter Adam moments plus the shared step counter."""
+    """Adam moments as one flat buffer each, plus the shared step counter.
 
+    `m` and `v` hold every moment in `layout` order, the order of the flat
+    parameter buffer they update; omitted, they start at zero. `moments`
+    gives per-name views for the checkpoint. `grad` is a flat buffer to
+    gather a step's gradients into (`layout.pack(grads, out=state.grad)`);
+    it and one more buffer of the same size are the update's scratch, so a
+    step allocates nothing.
+    """
+
+    layout: FlatLayout
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    grad: np.ndarray = field(init=False, repr=False)
+    _scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = self.layout.size
+        self.m = np.zeros(size) if self.m is None else self.m
+        self.v = np.zeros(size) if self.v is None else self.v
+        for name, buf in (("m", self.m), ("v", self.v)):
+            if buf.shape != (size,) or buf.dtype != np.float64:
+                raise ShapeMismatch(f"AdamState: {name} is {buf.dtype} {buf.shape}, "
+                                    f"expected float64 ({size},)")
+        self.grad = np.empty(size)
+        self._scratch = np.empty(size)
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray],
                    learning_rate: float = 1e-3) -> "AdamState":
-        return cls(learning_rate=learning_rate,
-                   m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+        return cls(FlatLayout({name: p.shape for name, p in params.items()}),
+                   learning_rate=learning_rate)
+
+    def moments(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Per-name views of m and v."""
+        return self.layout.views(self.m), self.layout.views(self.v)
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState) -> None:
-    """One Adam update with bias correction, in place and deterministic.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One Adam update with bias correction of the flat parameter buffer
+    `params` by the flat gradient `grads`, both in `state.layout` order, in
+    place and deterministic.
 
-    Parameters are visited in sorted name order; moments and parameters are
-    mutated, the step counter advances by one.
+    Both sizes are checked before anything changes: a failed step raises
+    ShapeMismatch and leaves parameters, moments and the step counter as
+    they were. `grads` is then overwritten as scratch. Whole-buffer ufuncs
+    compute, element by element and bit for bit as a per-array update
+    would, m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    p -= (lr m_hat) / (sqrt(v_hat) + eps). The step counter advances by one.
     """
+    if params.shape != state.m.shape or grads.shape != state.m.shape:
+        raise ShapeMismatch(f"adam_step: parameters {params.shape} and gradients "
+                            f"{grads.shape} vs moments {state.m.shape}")
+    g, s = grads, state._scratch
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for name in sorted(params):
-        p = params[name]
-        g = grads[name]
-        if g.shape != p.shape or state.m[name].shape != p.shape:
-            raise ShapeMismatch(f"adam_step: {name} gradient {g.shape} vs parameter {p.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=s)
+    m += s
+    v *= b2
+    np.multiply(g, g, out=g)
+    g *= 1.0 - b2
+    v += g
+    np.divide(v, 1.0 - b2 ** t, out=g)   # v_hat
+    np.sqrt(g, out=g)
+    g += state.eps
+    np.divide(m, 1.0 - b1 ** t, out=s)   # m_hat
+    s *= state.learning_rate
+    s /= g
+    params -= s

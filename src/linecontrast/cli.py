@@ -202,9 +202,31 @@ def cmd_embed(args) -> int:
     return 0
 
 
+def _bench_sizes(text: str) -> tuple[int, ...]:
+    """Transform mode's corpus sizes: the exponent fit needs two distinct
+    sizes or more, each of one graph or more."""
+    try:
+        sizes = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--sizes must be comma-separated integers, got {text!r}") from None
+    if len(set(sizes)) < 2 or min(sizes) < 1:
+        raise ConfigError(f"--sizes needs at least two distinct sizes of at least 1, "
+                          f"got {text!r}")
+    return sizes
+
+
+def _at_least(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
+
+
 def cmd_bench(args) -> int:
+    _at_least("--seed", args.seed, 0)
     if args.mode == "transform":
-        sizes = tuple(int(s) for s in args.sizes.split(","))
+        # the transform corpus has 10-20 nodes per graph, which a degree
+        # cap below 2 cannot connect
+        _at_least("--degree-cap", args.degree_cap, 2)
+        sizes = _bench_sizes(args.sizes)
         _banner("bench", mode=args.mode, sizes=list(sizes),
                 degree_cap=args.degree_cap, seed=args.seed)
         report = bench_mod.bench_transform(graph_counts=sizes, degree_cap=args.degree_cap,
@@ -212,6 +234,9 @@ def cmd_bench(args) -> int:
         for line in report.lines():
             print(f"[bench] {line}")
         return 0
+    _at_least("--steps", args.steps, 1)
+    _at_least("--batch-size", args.batch_size, 2)
+    _at_least("--graphs", args.graphs, args.batch_size)
     _banner("bench", mode=args.mode, graphs=args.graphs, batch_size=args.batch_size,
             steps=args.steps, seed=args.seed)
     report = bench_mod.bench_train_step(n_graphs=args.graphs, batch_size=args.batch_size,

@@ -32,12 +32,13 @@ readout; with fusion off, it runs no line layer at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import sqrt
 
 import numpy as np
 
 from .autodiff import (
+    FlatLayout,
     Incidence,
     Tensor,
     add,
@@ -159,11 +160,23 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, int]]:
 
 @dataclass
 class DualHelixParams:
-    """All named parameter arrays for both helices plus the shared heads."""
+    """All named parameter arrays for both helices plus the shared heads.
+
+    Construction copies the arrays into `flat`, one float64 buffer in
+    sorted name order (a checkpoint's data order), and `arrays` holds
+    reshaped views into it; so an in-place update of `flat`, as Adam's, is
+    an update of every array.
+    """
 
     config: EncoderConfig
     seed: int
     arrays: dict[str, np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        layout = FlatLayout({name: arr.shape for name, arr in self.arrays.items()})
+        self.flat = layout.pack(self.arrays)
+        self.arrays = layout.views(self.flat)
 
     @classmethod
     def initialize(cls, config: EncoderConfig, seed: int) -> "DualHelixParams":

@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .autodiff import AdamState, Tape, ZeroNormRow, add, adam_step, scale
+from .autodiff import AdamState, FlatLayout, Tape, ZeroNormRow, add, adam_step, scale
 from .checkpoint import ConfigMismatch, load_checkpoint, save_checkpoint
 from .encoder import (
     BatchEncoding,
@@ -254,7 +254,9 @@ def compute_step_losses(batch: Batch, enc: BatchEncoding, lcfg: LossConfig):
 def train_step(params: DualHelixParams, opt: AdamState, batch: Batch,
                lcfg: LossConfig) -> tuple[LossReport, tuple[float, float, float]]:
     """One optimisation step on one batch, on its own tape: encode, weighted
-    losses, backward, and an in-place Adam update of `params` and `opt`.
+    losses, backward, the gradients gathered into `opt.grad` by one
+    concatenate, and an in-place Adam update of `params.flat` (so of every
+    view in `params.arrays`) and `opt`'s flat moments.
 
     Returns the step's LossReport and its (forward, backward, Adam) seconds.
     """
@@ -264,9 +266,9 @@ def train_step(params: DualHelixParams, opt: AdamState, batch: Batch,
     total, report = compute_step_losses(batch, encode_batch(batch, tensors, params.config), lcfg)
     forward_end = time.perf_counter()
     tape.backward(total)
-    grads = {name: tape.grad(t) for name, t in tensors.items()}
+    grads = opt.layout.pack({name: tape.grad(t) for name, t in tensors.items()}, out=opt.grad)
     backward_end = time.perf_counter()
-    adam_step(params.arrays, grads, opt)
+    adam_step(params.flat, grads, opt)
     return report, (forward_end - start, backward_end - forward_end,
                     time.perf_counter() - backward_end)
 
@@ -361,11 +363,12 @@ _OPT_META_KEYS = ("learning_rate", "beta1", "beta2", "eps")
 
 
 def save_training_checkpoint(path, result: PretrainResult) -> None:
+    m, v = result.optimizer.moments()
     arrays: dict[str, np.ndarray] = {}
     for name, arr in result.params.arrays.items():
         arrays[f"model.{name}"] = arr
-        arrays[f"opt.m.{name}"] = result.optimizer.m[name]
-        arrays[f"opt.v.{name}"] = result.optimizer.v[name]
+        arrays[f"opt.m.{name}"] = m[name]
+        arrays[f"opt.v.{name}"] = v[name]
     meta = {
         "step": result.step,
         "epochs_done": result.epochs_done,
@@ -392,6 +395,9 @@ def _meta_adam(meta: dict) -> dict[str, float]:
             type(x) is float and math.isfinite(x) for x in adam.values()):
         raise ConfigMismatch(f"checkpoint metadata adam is not an object of finite "
                              f"floats: {adam!r}")
+    unknown = sorted(set(adam) - set(_OPT_META_KEYS))
+    if unknown:
+        raise ConfigMismatch(f"checkpoint metadata adam has unknown key {unknown[0]!r}")
     # beta = 1 divides by zero in adam_step's bias correction; a rate <= 0
     # trains uphill or not at all
     for key, ok, rule in (("learning_rate", lambda x: x > 0, "> 0"),
@@ -420,14 +426,16 @@ def load_training_checkpoint(path) -> PretrainResult:
 
     model, m, v = arrays("model."), arrays("opt.m."), arrays("opt.v.")
     adam_meta = _meta_adam(ck.meta)
+    layout = FlatLayout(expected)
     opt = AdamState(
+        layout,
         learning_rate=adam_meta.get("learning_rate", 1e-3),
         beta1=adam_meta.get("beta1", 0.9),
         beta2=adam_meta.get("beta2", 0.999),
         eps=adam_meta.get("eps", 1e-8),
         step=_meta_int(ck.meta, "adam_step"),
-        m=m,
-        v=v,
+        m=layout.pack(m),
+        v=layout.pack(v),
     )
     params = DualHelixParams(config=ck.config, seed=_meta_int(ck.meta, "seed", minimum=None),
                              arrays=model)

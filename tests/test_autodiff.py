@@ -379,19 +379,46 @@ class TestMaskedXent:
             ad.block_xent(x, x, np.array([0, 2]), 0.5)
 
 
+def flat_adam(arrays, learning_rate=1e-3):
+    """An AdamState for `arrays`, their flat buffer and its per-name views."""
+    state = AdamState.for_params(arrays, learning_rate=learning_rate)
+    flat = state.layout.pack(arrays)
+    return flat, state.layout.views(flat), state
+
+
+def named_step(flat, grads, state):
+    """One Adam step on named gradients, gathered as train_step does."""
+    adam_step(flat, state.layout.pack(grads, out=state.grad), state)
+
+
+def per_array_adam(params, grads, state):
+    """The per-array Adam update, name by name in sorted order, on dicts of
+    parameters and moments: the reference the flat update must equal."""
+    state["step"] += 1
+    t = state["step"]
+    b1, b2, lr, eps = 0.9, 0.999, state["lr"], 1e-8
+    for name in sorted(params):
+        p, g, m, v = params[name], grads[name], state["m"][name], state["v"][name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
-        params = {"w": np.array([[1.5, -2.0]])}
-        state = AdamState.for_params(params, learning_rate=0.1)
-        adam_step(params, {"w": np.zeros((1, 2))}, state)
+        flat, params, state = flat_adam({"w": np.array([[1.5, -2.0]])}, learning_rate=0.1)
+        named_step(flat, {"w": np.zeros((1, 2))}, state)
         assert np.array_equal(params["w"], [[1.5, -2.0]])
         assert state.step == 1
 
     def test_hand_computed_scalar_step(self):
         # g=1, lr=0.1, defaults: m_hat = v_hat = 1, update = -0.1 / (1 + eps)
-        params = {"w": np.array([[0.0]])}
-        state = AdamState.for_params(params, learning_rate=0.1)
-        adam_step(params, {"w": np.array([[1.0]])}, state)
+        flat, params, state = flat_adam({"w": np.array([[0.0]])}, learning_rate=0.1)
+        named_step(flat, {"w": np.array([[1.0]])}, state)
         expected = -0.1 * 1.0 / (1.0 + 1e-8)
         assert params["w"][0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -399,18 +426,74 @@ class TestAdam:
         grads = [{"w": rng.standard_normal((3, 3))} for _ in range(4)]
         results = []
         for _ in range(2):
-            params = {"w": np.zeros((3, 3))}
-            state = AdamState.for_params(params, learning_rate=0.01)
+            flat, params, state = flat_adam({"w": np.zeros((3, 3))}, learning_rate=0.01)
             for g in grads:
-                adam_step(params, g, state)
+                named_step(flat, g, state)
             results.append(params["w"].copy())
         assert np.array_equal(results[0], results[1])
 
     def test_shape_mismatch(self):
-        params = {"w": np.zeros((2, 2))}
-        state = AdamState.for_params(params)
+        flat, _, state = flat_adam({"w": np.zeros((2, 2))})
         with pytest.raises(ShapeMismatch):
-            adam_step(params, {"w": np.zeros((1, 2))}, state)
+            named_step(flat, {"w": np.zeros((1, 2))}, state)
+
+    @pytest.mark.parametrize("which", ["parameters", "gradients"])
+    def test_flat_buffer_of_another_size_changes_nothing(self, which):
+        flat, _, state = flat_adam({"w": np.zeros((2, 2))})
+        grads = np.ones(4)
+        args = (flat[:3], grads) if which == "parameters" else (flat, grads[:3])
+        with pytest.raises(ShapeMismatch):
+            adam_step(*args, state)
+        assert not flat.any() and not state.m.any() and not state.v.any()
+        assert state.step == 0
+
+    @pytest.mark.parametrize("grads, name", [
+        ({"a": np.ones((1, 2)), "b": np.ones((1, 2))}, "b"),
+        ({"a": np.ones((1, 2))}, "b"),
+        ({"a": np.ones((1, 2)), "b": np.ones((2, 2)), "c": np.ones((1, 1))}, "c"),
+    ], ids=["misshaped", "missing", "unknown"])
+    def test_failed_step_changes_nothing(self, grads, name):
+        flat, params, state = flat_adam({"a": np.zeros((1, 2)), "b": np.zeros((2, 2))})
+        named_step(flat, {"a": np.ones((1, 2)), "b": np.full((2, 2), -2.0)}, state)
+        before = (flat.copy(), state.m.copy(), state.v.copy(), state.step)
+        with pytest.raises(ShapeMismatch, match=f"array {name} "):
+            named_step(flat, grads, state)
+        assert np.array_equal(flat, before[0])
+        assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
+        assert state.step == before[3]
+
+    def test_flat_update_equals_the_per_array_update_bitwise(self, rng):
+        shapes = {"w1": (4, 6), "b1": (1, 6), "w2": (6, 3), "b2": (1, 3),
+                  "self_loop": (1, 4), "scalar": (1, 1), "table": (5, 4)}
+        start = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        flat, params, state = flat_adam(start, learning_rate=0.01)
+        ref = {k: a.copy() for k, a in start.items()}
+        ref_state = {"step": 0, "lr": 0.01,
+                     "m": {k: np.zeros(s) for k, s in shapes.items()},
+                     "v": {k: np.zeros(s) for k, s in shapes.items()}}
+        for i in range(6):
+            # gradients over several magnitudes, some exactly zero
+            grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3, size=s)
+                     * (rng.random(s) > 0.2) for k, s in shapes.items()}
+            named_step(flat, grads, state)
+            per_array_adam(ref, grads, ref_state)
+            m, v = state.moments()
+            for k in shapes:
+                assert np.array_equal(params[k], ref[k]), (i, k)
+                assert np.array_equal(m[k], ref_state["m"][k]), (i, k)
+                assert np.array_equal(v[k], ref_state["v"][k]), (i, k)
+        assert state.step == ref_state["step"] == 6
+
+    def test_views_and_moments_share_the_flat_buffers(self):
+        flat, params, state = flat_adam({"b": np.zeros((2, 2)), "a": np.zeros((1, 3))})
+        assert state.layout.names == ["a", "b"]
+        m, v = state.moments()
+        for name in ("a", "b"):
+            assert np.shares_memory(params[name], flat)
+            assert np.shares_memory(m[name], state.m) and np.shares_memory(v[name], state.v)
+        named_step(flat, {"a": np.ones((1, 3)), "b": np.ones((2, 2))}, state)
+        assert np.array_equal(np.concatenate([params["a"].ravel(), params["b"].ravel()]), flat)
+        assert (params["a"] != 0).all() and (m["b"] != 0).all()
 
 
 class TestBroadcastRules:

@@ -333,6 +333,8 @@ CORRUPTIONS = {
         lambda h: h["meta"]["adam"].update(learning_rate=-1.0)),
     "adam rate zero": _edited_header(lambda h: h["meta"]["adam"].update(learning_rate=0.0)),
     "adam eps zero": _edited_header(lambda h: h["meta"]["adam"].update(eps=0.0)),
+    "adam unknown key": _edited_header(lambda h: h["meta"].update(
+        adam={"learning_rat": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8})),
     "trailing bytes": lambda raw: raw + b"\x00",
 }
 
@@ -364,7 +366,29 @@ class TestCorruptCheckpoint:
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+BAD_BENCH_FLAGS = {
+    "zero steps": ["--mode", "train-step", "--steps", "0"],
+    "fewer graphs than a batch": ["--mode", "train-step", "--graphs", "4", "--batch-size", "16"],
+    "batch of one": ["--mode", "train-step", "--graphs", "4", "--batch-size", "1"],
+    "negative seed": ["--mode", "train-step", "--seed", "-1"],
+    "one size": ["--mode", "transform", "--sizes", "10"],
+    "size zero": ["--mode", "transform", "--sizes", "0,10"],
+    "repeated size": ["--mode", "transform", "--sizes", "10,10"],
+    "size not an integer": ["--mode", "transform", "--sizes", "10,x"],
+    "degree cap one": ["--mode", "transform", "--sizes", "10,20", "--degree-cap", "1"],
+}
+
+
 class TestBenchCommand:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", sorted(BAD_BENCH_FLAGS))
+    def test_bad_flag_exits_2_with_one_line(self, capsys, kind):
+        assert main(["bench", *BAD_BENCH_FLAGS[kind]]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_transform_mode_reports_exponent(self, capsys):
         assert main(["bench", "--mode", "transform", "--sizes", "60,120",
                      "--degree-cap", "4", "--seed", "0"]) == 0

@@ -1,6 +1,7 @@
 import importlib
 import json
 import logging
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -275,10 +276,9 @@ class TestTrainStep:
         assert result.reports == [report]
         assert len(seconds) == 3 and min(seconds) >= 0
         assert opt.step == result.optimizer.step == 1
-        for name, arr in params.arrays.items():
-            assert np.array_equal(arr, result.params.arrays[name])
-            assert np.array_equal(opt.m[name], result.optimizer.m[name])
-            assert np.array_equal(opt.v[name], result.optimizer.v[name])
+        assert np.array_equal(params.flat, result.params.flat)
+        assert np.array_equal(opt.m, result.optimizer.m)
+        assert np.array_equal(opt.v, result.optimizer.v)
 
     def test_benchmark_hooks_time_every_step_and_undo(self, monkeypatch):
         # perfbench measures the step by replacing module attributes; a step
@@ -348,6 +348,62 @@ class TestCheckpoint:
         save_checkpoint(path, CFG, arrays, {})
         with pytest.raises(ConfigMismatch, match="proj.w1"):
             load_training_checkpoint(path)
+
+
+def assert_flat(params, opt):
+    """Each array and moment is a view into its flat buffer, and the views
+    tile the buffer in sorted name order."""
+    names = sorted(params.arrays)
+    m, v = opt.moments()
+    for views, flat in ((params.arrays, params.flat), (m, opt.m), (v, opt.v)):
+        assert list(views) == names
+        assert all(np.shares_memory(views[n], flat) for n in names)
+        assert np.array_equal(np.concatenate([views[n].ravel() for n in names]), flat)
+
+
+class TestFlatBuffers:
+    def test_arrays_and_moments_stay_views_through_load_and_resume(self, tmp_path):
+        params = DualHelixParams.initialize(CFG, 0)
+        assert_flat(params, AdamState.for_params(params.arrays))
+        first = pretrain(small_corpus(8), tiny_train_config(epochs=1))
+        assert_flat(first.params, first.optimizer)
+        ckpt = tmp_path / "ckpt.bin"
+        save_training_checkpoint(ckpt, first)
+        loaded = load_training_checkpoint(ckpt)
+        assert_flat(loaded.params, loaded.optimizer)
+        assert np.array_equal(loaded.params.flat, first.params.flat)
+        assert np.array_equal(loaded.optimizer.m, first.optimizer.m)
+        assert np.array_equal(loaded.optimizer.v, first.optimizer.v)
+        resumed = pretrain(small_corpus(8), tiny_train_config(epochs=2), init=loaded)
+        assert resumed.step == 4
+        assert_flat(resumed.params, resumed.optimizer)
+
+    def test_train_step_update_shows_through_the_arrays(self):
+        corpus = small_corpus(4)
+        params = DualHelixParams.initialize(CFG, 0)
+        views = dict(params.arrays)
+        before = {k: a.copy() for k, a in views.items()}
+        opt = AdamState.for_params(params.arrays)
+        train_step(params, opt, Batch.build(transform_corpus(corpus)),
+                   loss_config(tiny_train_config()))
+        assert all(params.arrays[k] is views[k] for k in views)
+        assert all(not np.array_equal(views[k], before[k]) for k in views)
+        assert_flat(params, opt)
+
+    def test_checkpoint_data_is_the_three_flat_buffers(self, tmp_path):
+        result = pretrain(small_corpus(8), tiny_train_config(epochs=1))
+        path = tmp_path / "ckpt.bin"
+        save_training_checkpoint(path, result)
+        raw = path.read_bytes()
+        (size,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + size])
+        names = sorted(result.params.arrays)
+        assert header["params"] == [
+            [prefix + n, list(result.params.arrays[n].shape)]
+            for prefix in ("model.", "opt.m.", "opt.v.") for n in names]
+        opt = result.optimizer
+        assert raw[12 + size:] == b"".join(
+            buf.astype("<f8").tobytes() for buf in (result.params.flat, opt.m, opt.v))
 
 
 class TestEmbedCorpus:
