@@ -420,9 +420,9 @@ def l2_normalize_rows(x) -> Tensor:
 # similarities s = a b^T, with the positives on the diagonal and a set of
 # negatives for each anchor. A row anchor i contributes
 #     -s_ii / tau + logsumexp_{j in mask_i} s_ij / tau
-# (the positive joins the log-sum-exp when `inclusive`); anchors without
-# negatives are dropped. Its gradient on s is
-# (softmax over the masked row - onehot(i)) / tau.
+# where the mask holds the negatives only, never the positive (the strict
+# form of GraphCL's loss); anchors without negatives are dropped. Its
+# gradient on s is (softmax over the masked row - onehot(i)) / tau.
 #
 # group_xent reads s = a b^T in both directions: column j anchors the same
 # way on s_jj against the rows of the other groups. It never holds s whole.
@@ -442,8 +442,7 @@ def l2_normalize_rows(x) -> Tensor:
 TILE_ENTRIES = 1 << 18  # similarity entries per row tile of group_xent
 
 
-def group_xent(a, b, group_ids, tau: float,
-               inclusive: bool = False) -> tuple[Tensor | None, int]:
+def group_xent(a, b, group_ids, tau: float) -> tuple[Tensor | None, int]:
     """Summed contrastive cross-entropy of s = a @ b.T read in both
     directions, with the negatives of each anchor in the other groups.
 
@@ -473,22 +472,18 @@ def group_xent(a, b, group_ids, tau: float,
     diag = np.empty(n)
 
     def logits(r0: int, r1: int, first_pass: bool) -> np.ndarray:
-        """The tile's s / tau, -inf where a row meets its own group (bar
-        the positive when inclusive); the first pass checks it and keeps
-        the positives."""
+        """The tile's s / tau, -inf where a row meets its own group; the
+        first pass checks it and keeps the positives."""
         x = x_buf[:r1 - r0]
         np.matmul(a_tau[r0:r1], b_data.T, out=x)
-        t = np.arange(r1 - r0)
         if first_pass:
             check_finite(x, "similarity")
+            t = np.arange(r1 - r0)
             diag[r0:r1] = x[t, r0 + t]
         # sorted ids put the tile's own-group columns in one window
         c0 = int(np.searchsorted(ids, ids[r0], "left"))
         c1 = int(np.searchsorted(ids, ids[r1 - 1], "right"))
-        same = ids[r0:r1, None] == ids[None, c0:c1]
-        if inclusive:
-            same[t, r0 - c0 + t] = False
-        np.copyto(x[:, c0:c1], -np.inf, where=same)
+        np.copyto(x[:, c0:c1], -np.inf, where=ids[r0:r1, None] == ids[None, c0:c1])
         return x
 
     # pass 1: each column's max and sum of exp, carried across the tiles
@@ -537,8 +532,7 @@ def group_xent(a, b, group_ids, tau: float,
     return _apply(_tape_of(a, b), np.array([[total]]), (a, b), backward), 2 * n
 
 
-def block_xent(a, b, offsets: np.ndarray, tau: float,
-               inclusive: bool = False) -> tuple[Tensor | None, int]:
+def block_xent(a, b, offsets: np.ndarray, tau: float) -> tuple[Tensor | None, int]:
     """One-direction contrastive cross-entropy of a @ b.T restricted to the
     diagonal blocks that `offsets` cuts out, without forming the off-block
     entries.
@@ -583,15 +577,14 @@ def block_xent(a, b, offsets: np.ndarray, tau: float,
         valid = np.arange(width) < n
         keep = valid & (n > 1)
         d = np.arange(width)
-        # an anchor sums over the rows of its block, itself only when inclusive
+        # an anchor sums over the other rows of its block
         masked = ~(valid[:, :, None] & valid[:, None, :])
-        if not inclusive:
-            masked[:, d, d] = True
+        masked[:, d, d] = True
         x *= 1.0 / tau
         pos = x[:, d, d][keep]
         np.copyto(x, -np.inf, where=masked)
         shift = x.max(axis=-1, keepdims=True)
-        shift[np.isneginf(shift)] = 0.0  # padding rows, one-row blocks if exclusive
+        shift[np.isneginf(shift)] = 0.0  # padding rows and one-row blocks
         x -= shift
         np.exp(x, out=x)
         row_sum = x.sum(axis=-1, keepdims=True)

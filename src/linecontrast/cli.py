@@ -60,7 +60,6 @@ _CONFIG_KEYS = {
     "learning_rate": ("train", "learning_rate", float),
     "seed": ("train", "seed", int),
     "shuffle": ("train", "shuffle", _parse_bool),
-    "inclusive_denominator": ("train", "inclusive_denominator", _parse_bool),
     "depth": ("encoder", "depth", int),
     "hidden_dim": ("encoder", "hidden_dim", int),
     "atomic_vocab": ("encoder", "atomic_vocab", int),

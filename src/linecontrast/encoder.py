@@ -54,6 +54,7 @@ from .autodiff import (
     scale,
     scatter_add_rows,
 )
+from .losses import LossConfig
 
 
 class VocabOutOfRange(ValueError):
@@ -98,10 +99,7 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.readout != "mean":
             raise ValueError(f"unsupported readout {self.readout!r}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        LossConfig(tau=self.tau, alpha=self.alpha, beta=self.beta)  # the losses' own checks
 
     @property
     def vocab(self) -> tuple[int, int, int, int]:

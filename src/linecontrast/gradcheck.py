@@ -155,18 +155,14 @@ def _primitive_cases(rng: np.random.Generator) -> dict[str, list[Case]]:
     # groups of unequal size, the first of them wider than one row
     group_ids = np.array([0, 0, 0, 1, 2, 2])
     cases["group_xent"] = [
-        (lambda t, inclusive=inclusive: ad.group_xent(t["a"], t["b"], group_ids, 0.5,
-                                                      inclusive)[0],
-         {"a": mat(6, 3), "b": mat(6, 3)})
-        for inclusive in (False, True)
+        (lambda t: ad.group_xent(t["a"], t["b"], group_ids, 0.5)[0],
+         {"a": mat(6, 3), "b": mat(6, 3)}),
     ]
     # a one-row block (drops out) beside blocks of unequal size (padding)
     block_offsets = np.array([0, 3, 4, 6])
     cases["block_xent"] = [
-        (lambda t, inclusive=inclusive: ad.block_xent(t["a"], t["b"], block_offsets, 0.5,
-                                                      inclusive)[0],
-         {"a": mat(6, 3), "b": mat(6, 3)})
-        for inclusive in (False, True)
+        (lambda t: ad.block_xent(t["a"], t["b"], block_offsets, 0.5)[0],
+         {"a": mat(6, 3), "b": mat(6, 3)}),
     ]
     # node 0 meets three edges, node 4 none
     inc = ad.Incidence(np.array([[0, 1], [0, 2], [2, 3], [0, 3]]), 5, 3)
@@ -212,22 +208,19 @@ def _gin_mlp_case(rng: np.random.Generator) -> Case:
 def _loss_cases(rng: np.random.Generator) -> dict[str, list[Case]]:
     offsets = np.array([0, 3, 5])
     ragged = np.array([0, 3, 4, 6])  # a single-edge graph beside unequal ones
-    modes = (False, True)
     return {
         "nt_xent": [
-            (lambda t, inc=inc: nt_xent(t["z1"], t["z2"], 0.1, inc)[0],
-             {"z1": rng.standard_normal((3, 5)), "z2": rng.standard_normal((3, 5))})
-            for inc in modes
+            (lambda t: nt_xent(t["z1"], t["z2"], 0.1)[0],
+             {"z1": rng.standard_normal((3, 5)), "z2": rng.standard_normal((3, 5))}),
         ],
         "intra_local": [
-            (lambda t, inc=inc, off=off: intra_local(t["e"], t["l"], off, 0.1, inc)[0],
+            (lambda t, off=off: intra_local(t["e"], t["l"], off, 0.1)[0],
              {"e": rng.standard_normal((off[-1], 4)), "l": rng.standard_normal((off[-1], 4))})
-            for off in (offsets, ragged) for inc in modes
+            for off in (offsets, ragged)
         ],
         "inter_local": [
-            (lambda t, inc=inc: inter_local(t["e"], t["l"], offsets, 0.1, inc)[0],
-             {"e": rng.standard_normal((5, 4)), "l": rng.standard_normal((5, 4))})
-            for inc in modes
+            (lambda t: inter_local(t["e"], t["l"], offsets, 0.1)[0],
+             {"e": rng.standard_normal((5, 4)), "l": rng.standard_normal((5, 4))}),
         ],
     }
 

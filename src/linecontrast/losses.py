@@ -1,11 +1,9 @@
 """The three contrastive losses and their weighted combination.
 
 All three follow the same per-anchor shape: minus the positive logit plus
-a log-sum-exp over a masked set of negative logits, at temperature tau.
-The positive term is excluded from the denominator by default (the strict
-form); the widespread variant that includes it is available behind
-``inclusive_denominator`` for comparison. A consequence of the strict form
-is that losses can be negative.
+a log-sum-exp over the anchor's negative logits, at temperature tau. The
+positive never enters that denominator, as in GraphCL's loss (You et al.,
+NeurIPS 2020), so the losses can be negative.
 
 Per-anchor terms are averaged, not summed, so the combination weights are
 independent of batch size.
@@ -13,6 +11,7 @@ independent of batch size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +39,15 @@ class LossConfig:
     tau: float = 0.1
     alpha: float = 1.0  # weight of the cross-graph local loss
     beta: float = 1.0   # weight of the within-graph local loss
-    inclusive_denominator: bool = False
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        # the comparisons are False for NaN, so NaN fails them too
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,7 @@ class LossReport:
         }
 
 
-def nt_xent(z1: Tensor, z2: Tensor, tau: float,
-            inclusive: bool = False) -> tuple[Tensor, int]:
+def nt_xent(z1: Tensor, z2: Tensor, tau: float) -> tuple[Tensor, int]:
     """Cross-view contrastive loss over graph representations.
 
     Evaluated in both directions (each view's rows anchor against the other
@@ -86,13 +86,12 @@ def nt_xent(z1: Tensor, z2: Tensor, tau: float,
     n = z1.shape[0]
     if n < 2:
         raise BatchTooSmall(f"need at least 2 rows, got {n}")
-    total, k = group_xent(l2_normalize_rows(z1), l2_normalize_rows(z2), np.arange(n),
-                          tau, inclusive)
+    total, k = group_xent(l2_normalize_rows(z1), l2_normalize_rows(z2), np.arange(n), tau)
     return scale(total, 1.0 / k), k
 
 
 def intra_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
-                tau: float, inclusive: bool = False) -> tuple[Tensor | None, int]:
+                tau: float) -> tuple[Tensor | None, int]:
     """Within-graph consensus between each edge's two-endpoint representation
     and the matching line-node state.
 
@@ -105,7 +104,7 @@ def intra_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
     if edge_repr.shape != line_repr.shape:
         raise ValueError(f"row-aligned inputs required: {edge_repr.shape} vs {line_repr.shape}")
     total, k = block_xent(l2_normalize_rows(edge_repr), l2_normalize_rows(line_repr),
-                         edge_offsets, tau, inclusive)
+                         edge_offsets, tau)
     if total is None:
         return None, 0
     loss = scale(total, 1.0 / k)
@@ -114,7 +113,7 @@ def intra_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
 
 
 def inter_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
-                tau: float, inclusive: bool = False) -> tuple[Tensor, int]:
+                tau: float) -> tuple[Tensor, int]:
     """Cross-graph edge-level contrast targeting hard negative pairs.
 
     Each edge anchors its own line-node as the positive against all
@@ -125,7 +124,7 @@ def inter_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
         raise ValueError(f"row-aligned inputs required: {edge_repr.shape} vs {line_repr.shape}")
     sizes = np.diff(edge_offsets)
     total, k = group_xent(l2_normalize_rows(edge_repr), l2_normalize_rows(line_repr),
-                          np.repeat(np.arange(sizes.size), sizes), tau, inclusive)
+                          np.repeat(np.arange(sizes.size), sizes), tau)
     if total is None:
         raise BatchTooSmall(f"need edges in at least 2 graphs, got {np.count_nonzero(sizes)}")
     return scale(total, 1.0 / k), k
@@ -133,11 +132,14 @@ def inter_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
 
 def combine(l_graph: float, l_intra: float, l_inter: float, cfg: LossConfig,
             counts: tuple[int, int, int] = (0, 0, 0)) -> LossReport:
-    """Weighted total: graph loss + alpha * cross-graph + beta * within-graph."""
-    for name, value in (("l_graph", l_graph), ("l_intra", l_intra), ("l_inter", l_inter)):
+    """Weighted total: graph loss + alpha * cross-graph + beta * within-graph.
+    A large weight can overflow the total of finite losses, so it is checked
+    too."""
+    total = l_graph + cfg.alpha * l_inter + cfg.beta * l_intra
+    for name, value in (("l_graph", l_graph), ("l_intra", l_intra), ("l_inter", l_inter),
+                        ("l_total", total)):
         if not np.isfinite(value):
             raise NonFinite(f"{name} is not finite")
-    total = l_graph + cfg.alpha * l_inter + cfg.beta * l_intra
     return LossReport(
         l_graph=float(l_graph),
         l_intra=float(l_intra),

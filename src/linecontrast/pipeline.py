@@ -137,15 +137,17 @@ class TrainConfig:
     seed: int = 0
     shuffle: bool = True
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    inclusive_denominator: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # False for NaN too
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def desk_train_config(**overrides) -> TrainConfig:
@@ -162,8 +164,7 @@ def full_train_config(**overrides) -> TrainConfig:
 
 def loss_config(cfg: TrainConfig) -> LossConfig:
     enc = cfg.encoder
-    return LossConfig(tau=enc.tau, alpha=enc.alpha, beta=enc.beta,
-                      inclusive_denominator=cfg.inclusive_denominator)
+    return LossConfig(tau=enc.tau, alpha=enc.alpha, beta=enc.beta)
 
 
 # --- corpus I/O ---------------------------------------------------------------
@@ -226,28 +227,26 @@ def compute_step_losses(batch: Batch, enc: BatchEncoding, lcfg: LossConfig):
     """Tape-level losses for one batch with zero-weight short-circuiting.
 
     Returns (total tensor, report floats). Losses whose weight is zero are
-    skipped entirely and reported as exact zeros.
+    skipped entirely and reported as exact zeros. The report is checked
+    before the weighted total goes on the tape, so a total that overflows
+    raises NonFinite without a numpy warning.
     """
-    l_graph, n_graph = nt_xent(enc.z_graph, enc.z_line, lcfg.tau,
-                               lcfg.inclusive_denominator)
-    total = l_graph
-    l_inter_val, n_inter = 0.0, 0
+    l_graph, n_graph = nt_xent(enc.z_graph, enc.z_line, lcfg.tau)
+    l_inter, n_inter = None, 0
     if lcfg.alpha > 0:
         l_inter, n_inter = inter_local(enc.edge_pair, enc.line_node_embeddings,
-                                       batch.edge_offsets, lcfg.tau,
-                                       lcfg.inclusive_denominator)
-        total = add(total, scale(l_inter, lcfg.alpha))
-        l_inter_val = l_inter.item()
-    l_intra_val, n_intra = 0.0, 0
+                                       batch.edge_offsets, lcfg.tau)
+    l_intra, n_intra = None, 0
     if lcfg.beta > 0:
         l_intra, n_intra = intra_local(enc.edge_pair, enc.line_node_embeddings,
-                                       batch.edge_offsets, lcfg.tau,
-                                       lcfg.inclusive_denominator)
-        if l_intra is not None:
-            total = add(total, scale(l_intra, lcfg.beta))
-            l_intra_val = l_intra.item()
-    report = combine(l_graph.item(), l_intra_val, l_inter_val, lcfg,
+                                       batch.edge_offsets, lcfg.tau)
+    report = combine(l_graph.item(), 0.0 if l_intra is None else l_intra.item(),
+                     0.0 if l_inter is None else l_inter.item(), lcfg,
                      counts=(n_graph, n_intra, n_inter))
+    total = l_graph
+    for loss, weight in ((l_inter, lcfg.alpha), (l_intra, lcfg.beta)):
+        if loss is not None:
+            total = add(total, scale(loss, weight))
     return total, report
 
 

@@ -23,6 +23,17 @@ from conftest import NON_INTEGER_RECORDS
 DATA = Path(__file__).parent / "data"
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def read_metrics(out_dir):
+    """The rows of a run's metrics.jsonl, parsed as strict JSON: a NaN or
+    Infinity in any line fails the read."""
+    return [json.loads(line, parse_constant=_refuse_constant)
+            for line in (out_dir / "metrics.jsonl").read_text().splitlines()]
+
+
 def write_corpus(tmp_path, n=12, seed=0, name="corpus.jsonl"):
     path = tmp_path / name
     save_corpus([random_molecular_graph(seed + i, (5, 10), 4) for i in range(n)], path)
@@ -97,7 +108,7 @@ class TestPretrainCommand:
         code, out_dir = self.run_pretrain(tmp_path, corpus)
         assert code == 0
         assert (out_dir / "checkpoint.bin").exists()
-        rows = [json.loads(l) for l in (out_dir / "metrics.jsonl").read_text().splitlines()]
+        rows = read_metrics(out_dir)
         assert len(rows) == 3  # 12 graphs / batch 4
         text = capsys.readouterr().out
         assert "epoch=0 mean_total_loss=" in text
@@ -107,7 +118,7 @@ class TestPretrainCommand:
         corpus = write_corpus(tmp_path)
         code, out_dir = self.run_pretrain(tmp_path, corpus, "--alpha", "0", "--beta", "0")
         assert code == 0
-        rows = [json.loads(l) for l in (out_dir / "metrics.jsonl").read_text().splitlines()]
+        rows = read_metrics(out_dir)
         assert all(r["l_intra"] == 0.0 and r["l_inter"] == 0.0 for r in rows)
         assert all(r["intra_anchors"] == 0 and r["inter_anchors"] == 0 for r in rows)
 
@@ -122,7 +133,7 @@ class TestPretrainCommand:
         assert code == 0
         state = load_training_checkpoint(out_dir / "checkpoint.bin")
         assert state.step == 6
-        rows = [json.loads(l) for l in (out_dir / "metrics.jsonl").read_text().splitlines()]
+        rows = read_metrics(out_dir)
         assert [r["step"] for r in rows] == list(range(6))
         labels = [l.split()[1] for l in capsys.readouterr().out.splitlines()
                   if l.startswith("[pretrain] epoch=")]
@@ -228,6 +239,41 @@ class TestPretrainCommand:
         for name in ("checkpoint.bin", "metrics.jsonl"):
             assert (old_dir / name).read_bytes() == (straight_dir / name).read_bytes()
 
+    @pytest.mark.parametrize("flags, config, names", [
+        (["--alpha", "nan"], "", "alpha"),
+        (["--tau", "inf"], "", "tau"),
+        (["--beta", "inf"], "", "beta"),
+        (["--learning-rate", "inf"], "", "learning_rate"),
+        (["--seed", "-1"], "", "seed"),
+        ([], "tau=nan\n", "tau"),
+        ([], "seed=-2\n", "seed"),
+        ([], "inclusive_denominator=true\n", "unknown key 'inclusive_denominator'"),
+    ], ids=["alpha nan", "tau inf", "beta inf", "learning rate inf", "seed negative",
+            "config tau nan", "config seed negative", "config inclusive_denominator"])
+    def test_bad_setting_exits_2_before_any_output(self, tmp_path, capsys, flags, config,
+                                                    names):
+        corpus = write_corpus(tmp_path, n=8)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out_dir = tmp_path / "run"
+        code = main(["pretrain", "--corpus", str(corpus), "--config", str(cfg),
+                     "--out", str(out_dir), "--batch-size", "4", *flags])
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and names in err[0]
+        assert captured.out == ""  # no banner
+        assert not out_dir.exists()
+
+    def test_overflowing_weighted_total_names_the_step(self, tmp_path, capsys):
+        # finite losses, but alpha * l_inter overflows to an infinite total
+        corpus = write_corpus(tmp_path)
+        code, out_dir = self.run_pretrain(tmp_path, corpus, "--alpha", "1e308")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: step 0: l_total")
+        assert read_metrics(out_dir) == []
+
     def test_resume_without_checkpoint_exits_2(self, tmp_path):
         corpus = write_corpus(tmp_path)
         code = main(["pretrain", "--corpus", str(corpus), "--out",
@@ -242,7 +288,7 @@ class TestPretrainCommand:
         code = main(["pretrain", "--corpus", str(corpus), "--config", str(cfg),
                      "--out", str(out_dir), "--batch-size", "4"])
         assert code == 0
-        rows = [json.loads(l) for l in (out_dir / "metrics.jsonl").read_text().splitlines()]
+        rows = read_metrics(out_dir)
         assert len(rows) == 3  # flag's batch 4 beat the file's 6
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
@@ -336,6 +382,7 @@ CORRUPTIONS = {
     "adam unknown key": _edited_header(lambda h: h["meta"].update(
         adam={"learning_rat": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8})),
     "trailing bytes": lambda raw: raw + b"\x00",
+    "config tau NaN": _edited_header(lambda h: h["config"].update(tau=float("nan"))),
 }
 
 

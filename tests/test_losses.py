@@ -53,16 +53,12 @@ class TestNtXent:
             nt_xent(z, z, TAU)
 
     def test_positive_never_in_denominator(self):
-        # the strict form differs from the inclusive variant whenever the
-        # positive logit is finite; pin both values on a fixed case
+        # each denominator holds the one negative, e^0: term = -log(e^10 / 1).
+        # A positive in the denominator would add e^10 to it and give
+        # log1p(e^-10) instead
         z = constant(np.eye(2))
-        strict, _ = loss_value(nt_xent, z, z, TAU)
-        inclusive, _ = loss_value(nt_xent, z, z, TAU, inclusive=True)
-        assert strict == pytest.approx(-10.0, abs=1e-9)
-        # inclusive adds e^10 to each denominator: term = -log(e^10/(e^10 + 1))
-        expected = math.log1p(math.exp(-10.0))
-        assert inclusive == pytest.approx(expected, abs=1e-9)
-        assert strict != inclusive
+        value, _ = loss_value(nt_xent, z, z, TAU)
+        assert value == pytest.approx(-10.0, abs=1e-9)
 
     def test_nan_similarity_raises(self):
         bad = np.ones((2, 2))
@@ -190,6 +186,13 @@ class TestCombine:
         with pytest.raises(NonFinite):
             combine(float("nan"), 0.0, 0.0, LossConfig())
 
+    def test_overflowing_weighted_total_rejected(self):
+        # finite losses and finite weights whose weighted sum overflows
+        with pytest.raises(NonFinite, match="l_total"):
+            combine(0.0, 0.0, 2.0, LossConfig(alpha=1e308))
+        with pytest.raises(NonFinite, match="l_total"):
+            combine(0.0, -2.0, 0.0, LossConfig(beta=1e308))
+
 
 class TestAnchorPermutationInvariance:
     def test_shuffling_graph_order_preserves_all_losses(self, rng):
@@ -218,7 +221,7 @@ class TestAnchorPermutationInvariance:
             assert a == pytest.approx(b, abs=1e-10)
 
 
-def _dense_oracle(a, b, neg_mask, tau, inclusive, both_directions):
+def _dense_oracle(a, b, neg_mask, tau, both_directions):
     """Plain-numpy reference: the full similarity matrix, a boolean mask and
     a row log-sum-exp. Returns (loss, anchors, grad wrt a, grad wrt b), with
     loss None when no anchor has a negative."""
@@ -231,8 +234,7 @@ def _dense_oracle(a, b, neg_mask, tau, inclusive, both_directions):
     total, count, grads = 0.0, 0, []
     for s in directions:
         keep = neg_mask.any(axis=1)
-        mask = neg_mask | eye if inclusive else neg_mask
-        logits = np.where(mask, s / tau, -np.inf)[keep]
+        logits = np.where(neg_mask, s / tau, -np.inf)[keep]
         top = logits.max(axis=1, keepdims=True)
         lse = np.log(np.exp(logits - top).sum(axis=1)) + top[:, 0]
         total += float((lse - np.diag(s)[keep] / tau).sum())
@@ -277,8 +279,7 @@ class TestDenseOracle:
         assert np.abs(got[2] - want[2]).max() < 1e-12
         assert np.abs(got[3] - want[3]).max() < 1e-12
 
-    @pytest.mark.parametrize("inclusive", [False, True])
-    def test_local_losses_on_random_offsets(self, rng, inclusive):
+    def test_local_losses_on_random_offsets(self, rng):
         for _ in range(10):
             offsets = self._random_offsets(rng)
             e = rng.standard_normal((offsets[-1], 5))
@@ -286,25 +287,22 @@ class TestDenseOracle:
             ids = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
             same = ids[:, None] == ids[None, :]
             self._assert_matches(
-                self._tape_loss(intra_local, e, l, offsets, TAU, inclusive),
+                self._tape_loss(intra_local, e, l, offsets, TAU),
                 _dense_oracle(e, l, same & ~np.eye(len(ids), dtype=bool), TAU,
-                              inclusive, both_directions=False))
+                              both_directions=False))
             self._assert_matches(
-                self._tape_loss(inter_local, e, l, offsets, TAU, inclusive),
-                _dense_oracle(e, l, ~same, TAU, inclusive, both_directions=True))
+                self._tape_loss(inter_local, e, l, offsets, TAU),
+                _dense_oracle(e, l, ~same, TAU, both_directions=True))
 
-    @pytest.mark.parametrize("inclusive", [False, True])
-    def test_graph_loss_on_random_batches(self, rng, inclusive):
+    def test_graph_loss_on_random_batches(self, rng):
         for n in (2, 3, 7):
             z1 = rng.standard_normal((n, 4))
             z2 = rng.standard_normal((n, 4))
             self._assert_matches(
-                self._tape_loss(nt_xent, z1, z2, TAU, inclusive),
-                _dense_oracle(z1, z2, ~np.eye(n, dtype=bool), TAU, inclusive,
-                              both_directions=True))
+                self._tape_loss(nt_xent, z1, z2, TAU),
+                _dense_oracle(z1, z2, ~np.eye(n, dtype=bool), TAU, both_directions=True))
 
-    @pytest.mark.parametrize("inclusive", [False, True])
-    def test_skewed_blocks_match_the_oracle_in_bounded_memory(self, rng, inclusive):
+    def test_skewed_blocks_match_the_oracle_in_bounded_memory(self, rng):
         # one 300-edge graph among 127 two-edge graphs: padding every block
         # to the largest would hold 128 x 300 x 300 similarities (92 MB)
         sizes = [2] * 60 + [300] + [2] * 67
@@ -313,21 +311,20 @@ class TestDenseOracle:
         l = rng.standard_normal((offsets[-1], 32))
         ids = np.repeat(np.arange(len(sizes)), sizes)
         want = _dense_oracle(e, l, (ids[:, None] == ids[None, :]) & ~np.eye(len(ids), dtype=bool),
-                             TAU, inclusive, both_directions=False)
+                             TAU, both_directions=False)
         tracemalloc.start()
         try:
-            got = self._tape_loss(intra_local, e, l, offsets, TAU, inclusive)
+            got = self._tape_loss(intra_local, e, l, offsets, TAU)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         self._assert_matches(got, want)
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
-    @pytest.mark.parametrize("inclusive", [False, True])
-    def test_all_single_edge_batch_has_no_within_graph_anchor(self, rng, inclusive):
+    def test_all_single_edge_batch_has_no_within_graph_anchor(self, rng):
         e = rng.standard_normal((4, 3))
         l = rng.standard_normal((4, 3))
-        assert intra_local(constant(e), constant(l), np.arange(5), TAU, inclusive) == (None, 0)
+        assert intra_local(constant(e), constant(l), np.arange(5), TAU) == (None, 0)
 
 
 class TestMonotoneContrast:
@@ -342,16 +339,14 @@ class TestMonotoneContrast:
         b = rng.standard_normal((3, 5))
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         b /= np.linalg.norm(b, axis=1, keepdims=True)
-        for inclusive in (False, True):
-            previous = None
-            for pos in (-0.5, 0.0, 0.4, 0.9, 1.0):
-                b[0] = [pos, math.sqrt(1.0 - pos * pos), 0.0, 0.0, 0.0]
-                total, count = group_xent(constant(a), constant(b), np.arange(3), TAU,
-                                          inclusive)
-                assert count == 6  # three row and three column anchors
-                if previous is not None:
-                    assert total.item() < previous
-                previous = total.item()
+        previous = None
+        for pos in (-0.5, 0.0, 0.4, 0.9, 1.0):
+            b[0] = [pos, math.sqrt(1.0 - pos * pos), 0.0, 0.0, 0.0]
+            total, count = group_xent(constant(a), constant(b), np.arange(3), TAU)
+            assert count == 6  # three row and three column anchors
+            if previous is not None:
+                assert total.item() < previous
+            previous = total.item()
 
 
 class TestGroupXentTiles:
@@ -374,19 +369,17 @@ class TestGroupXentTiles:
         assert np.abs(got[3] - want[3]).max() < 1e-12 / tau
 
     @pytest.mark.parametrize("tau", [0.1, 1e-3])
-    @pytest.mark.parametrize("inclusive", [False, True])
-    def test_tilings_agree_with_each_other_and_the_oracle(self, rng, monkeypatch, tau,
-                                                         inclusive):
+    def test_tilings_agree_with_each_other_and_the_oracle(self, rng, monkeypatch, tau):
         e = rng.standard_normal((self.OFFSETS[-1], 5))
         l = rng.standard_normal((self.OFFSETS[-1], 5))
         ids = np.repeat(np.arange(len(self.OFFSETS) - 1), np.diff(self.OFFSETS))
         z1 = rng.standard_normal((12, 4))
         z2 = rng.standard_normal((12, 4))
         for fn, args, neg in (
-            (inter_local, (e, l, self.OFFSETS, tau, inclusive), ids[:, None] != ids[None, :]),
-            (nt_xent, (z1, z2, tau, inclusive), ~np.eye(12, dtype=bool)),
+            (inter_local, (e, l, self.OFFSETS, tau), ids[:, None] != ids[None, :]),
+            (nt_xent, (z1, z2, tau), ~np.eye(12, dtype=bool)),
         ):
-            want = _dense_oracle(args[0], args[1], neg, tau, inclusive, both_directions=True)
+            want = _dense_oracle(args[0], args[1], neg, tau, both_directions=True)
             whole = self._in_tiles(monkeypatch, len(args[0]), fn, *args)
             self._assert_close(whole, want, tau)
             for rows in (1, 3):
@@ -416,14 +409,12 @@ class TestSmallTemperature:
         e = rng.standard_normal((10, 5))
         l = rng.standard_normal((10, 5))
         ids = np.repeat(np.arange(4), np.diff(offsets))
-        for inclusive in (False, True):
-            got = TestDenseOracle._tape_loss(inter_local, e, l, offsets, tau, inclusive)
-            want = _dense_oracle(e, l, ids[:, None] != ids[None, :], tau, inclusive,
-                                 both_directions=True)
-            assert np.isfinite(got[0]) and got[1] == want[1]
-            assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
-            assert np.abs(got[2] - want[2]).max() < 1e-12 / tau
-            assert np.abs(got[3] - want[3]).max() < 1e-12 / tau
+        got = TestDenseOracle._tape_loss(inter_local, e, l, offsets, tau)
+        want = _dense_oracle(e, l, ids[:, None] != ids[None, :], tau, both_directions=True)
+        assert np.isfinite(got[0]) and got[1] == want[1]
+        assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+        assert np.abs(got[2] - want[2]).max() < 1e-12 / tau
+        assert np.abs(got[3] - want[3]).max() < 1e-12 / tau
 
 
 class TestGradients:
@@ -448,6 +439,10 @@ class TestLossConfig:
             LossConfig(tau=0.0)
         with pytest.raises(ValueError):
             LossConfig(alpha=-1.0)
+        for bad in ({"tau": math.nan}, {"tau": math.inf}, {"alpha": math.nan},
+                    {"beta": math.inf}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                LossConfig(**bad)
 
     def test_report_serializes(self):
         report = LossReport(1.0, 2.0, 3.0, 6.0, 4, 5, 6)

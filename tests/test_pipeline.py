@@ -529,3 +529,7 @@ class TestPresets:
             TrainConfig(batch_size=1)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+        for bad in ({"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+                    {"seed": -1}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                TrainConfig(**bad)
