@@ -644,6 +644,12 @@ class FlatLayout:
         return np.concatenate(parts, axis=None, out=out)
 
 
+# Adam's published defaults (Kingma & Ba, ICLR 2015); every run uses them
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moments as one flat buffer each, plus the shared step counter.
@@ -658,9 +664,6 @@ class AdamState:
 
     layout: FlatLayout
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -699,7 +702,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     they were. `grads` is then overwritten as scratch. Whole-buffer ufuncs
     compute, element by element and bit for bit as a per-array update
     would, m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-    p -= (lr m_hat) / (sqrt(v_hat) + eps). The step counter advances by one.
+    p -= (lr m_hat) / (sqrt(v_hat) + eps), with b1, b2 and eps the ADAM_*
+    constants. The step counter advances by one.
     """
     if params.shape != state.m.shape or grads.shape != state.m.shape:
         raise ShapeMismatch(f"adam_step: parameters {params.shape} and gradients "
@@ -707,7 +711,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     g, s = grads, state._scratch
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v = state.m, state.v
     m *= b1
     np.multiply(g, 1.0 - b1, out=s)
@@ -718,7 +722,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     v += g
     np.divide(v, 1.0 - b2 ** t, out=g)   # v_hat
     np.sqrt(g, out=g)
-    g += state.eps
+    g += ADAM_EPS
     np.divide(m, 1.0 - b1 ** t, out=s)   # m_hat
     s *= state.learning_rate
     s /= g

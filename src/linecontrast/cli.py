@@ -59,7 +59,6 @@ _CONFIG_KEYS = {
     "batch_size": ("train", "batch_size", int),
     "learning_rate": ("train", "learning_rate", float),
     "seed": ("train", "seed", int),
-    "shuffle": ("train", "shuffle", _parse_bool),
     "depth": ("encoder", "depth", int),
     "hidden_dim": ("encoder", "hidden_dim", int),
     "atomic_vocab": ("encoder", "atomic_vocab", int),
@@ -181,7 +180,8 @@ def cmd_gradcheck(args) -> int:
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"[gradcheck] {r.name}: max_rel_err={r.max_rel_err:.3e} {status}")
+        print(f"[gradcheck] {r.name}: max_rel_err={r.max_rel_err:.3e} "
+              f"max_abs_err={r.max_abs_err:.3e} {status}")
     if failed:
         print(f"[gradcheck] FAILED components: {', '.join(r.name for r in failed)}")
         return 1
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--edge-fusion", dest="edge_fusion", type=_parse_bool)
-    p.add_argument("--shuffle", type=_parse_bool)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient validation")

@@ -229,7 +229,6 @@ class BatchEncoding:
     node_embeddings: Tensor        # sum(V) x d, graph helix
     line_node_embeddings: Tensor   # sum(E) x d, line helix
     graph_repr: Tensor             # N x d mean-pooled, graph view
-    line_graph_repr: Tensor        # N x d mean-pooled, line view
     z_graph: Tensor                # N x d projected, graph view
     z_line: Tensor                 # N x d projected, line view
     edge_pair: Tensor              # sum(E) x d two-endpoint edge representations
@@ -313,7 +312,6 @@ def encode_batch(batch, params: dict[str, Tensor], cfg: EncoderConfig) -> BatchE
         node_embeddings=h,
         line_node_embeddings=e,
         graph_repr=graph_repr,
-        line_graph_repr=line_graph_repr,
         z_graph=project(graph_repr, params["proj.w1"], params["proj.w2"]),
         z_line=project(line_graph_repr, params["proj.w1"], params["proj.w2"]),
         edge_pair=edge_pair_representation(h, batch.edges,

@@ -4,8 +4,10 @@ Each component builds seeded inputs, evaluates a scalar objective on a
 fresh tape, and compares the analytic gradients against central
 differences at h = 1e-5. Differences below 1e-7 count as zero error (the
 absolute fallback near zero); otherwise the error is relative to the
-larger magnitude. The `inject_bug` hook perturbs one analytic gradient on
-purpose so the harness itself can be tested as a negative control.
+larger magnitude; each component also reports its largest absolute
+difference, the margin that floor hides. The `inject_bug` hook perturbs
+one analytic gradient on purpose so the harness itself can be tested as
+a negative control.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ _ABS_FLOOR = 1e-7
 class ComponentResult:
     name: str
     max_rel_err: float
+    max_abs_err: float
     passed: bool
 
 
@@ -81,17 +84,20 @@ def _fd_grads(build, arrays) -> dict[str, np.ndarray]:
     return grads
 
 
-def max_relative_error(analytic: dict[str, np.ndarray],
-                       numeric: dict[str, np.ndarray]) -> float:
-    worst = 0.0
+def max_errors(analytic: dict[str, np.ndarray],
+               numeric: dict[str, np.ndarray]) -> tuple[float, float]:
+    """The largest relative error (zero below the absolute floor) and the
+    largest absolute difference over every array."""
+    worst_rel = worst_abs = 0.0
     for key in analytic:
         a = analytic[key]
         n = numeric[key]
         diff = np.abs(a - n)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-12)
         rel = np.where(diff < _ABS_FLOOR, 0.0, diff / denom)
-        worst = max(worst, float(rel.max()) if rel.size else 0.0)
-    return worst
+        worst_rel = max(worst_rel, float(rel.max(initial=0.0)))
+        worst_abs = max(worst_abs, float(diff.max(initial=0.0)))
+    return worst_rel, worst_abs
 
 
 def _away_from_zero(x: np.ndarray, margin: float = 5e-2) -> np.ndarray:
@@ -260,14 +266,15 @@ def run_gradcheck(seed: int = 0, tolerance: float = DEFAULT_TOLERANCE,
 
     results = []
     for name, cases in suites.items():
-        worst = 0.0
+        worst = worst_abs = 0.0
         for build, arrays in cases:
             analytic = _analytic_grads(build, arrays)
             if inject_bug == name:
                 first = next(iter(analytic))
                 analytic[first] = analytic[first] + 1e-2
             numeric = _fd_grads(build, arrays)
-            worst = max(worst, max_relative_error(analytic, numeric))
-        results.append(ComponentResult(name=name, max_rel_err=worst,
+            rel, abs_err = max_errors(analytic, numeric)
+            worst, worst_abs = max(worst, rel), max(worst_abs, abs_err)
+        results.append(ComponentResult(name=name, max_rel_err=worst, max_abs_err=worst_abs,
                                        passed=worst < tolerance))
     return results

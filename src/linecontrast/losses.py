@@ -12,7 +12,7 @@ independent of batch size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,15 +63,7 @@ class LossReport:
     inter_anchors: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "l_graph": self.l_graph,
-            "l_intra": self.l_intra,
-            "l_inter": self.l_inter,
-            "l_total": self.l_total,
-            "graph_anchors": self.graph_anchors,
-            "intra_anchors": self.intra_anchors,
-            "inter_anchors": self.inter_anchors,
-        }
+        return asdict(self)
 
 
 def nt_xent(z1: Tensor, z2: Tensor, tau: float) -> tuple[Tensor, int]:

@@ -19,7 +19,8 @@ from itertools import chain
 
 import numpy as np
 
-from .autodiff import AdamState, FlatLayout, Tape, ZeroNormRow, add, adam_step, scale
+from .autodiff import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, FlatLayout, Tape,
+                       ZeroNormRow, add, adam_step, scale)
 from .checkpoint import ConfigMismatch, load_checkpoint, save_checkpoint
 from .encoder import (
     BatchEncoding,
@@ -135,7 +136,6 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 1e-3
     seed: int = 0
-    shuffle: bool = True
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def __post_init__(self):
@@ -306,9 +306,7 @@ def pretrain(corpus, cfg: TrainConfig, *, metrics_path=None,
     metrics_fh = open(metrics_path, "a", encoding="utf-8") if metrics_path else None
     try:
         for epoch in range(first_epoch, cfg.epochs):
-            order = np.arange(len(pairs))
-            if cfg.shuffle:
-                order = np.random.default_rng([cfg.seed, epoch]).permutation(len(pairs))
+            order = np.random.default_rng([cfg.seed, epoch]).permutation(len(pairs))
             n_batches = len(pairs) // cfg.batch_size  # drop the incomplete tail
             for b in range(n_batches):
                 chunk = [pairs[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
@@ -358,7 +356,8 @@ def embed_corpus(corpus, params: DualHelixParams, batch_size: int = 64) -> np.nd
 
 # --- checkpoint composition -----------------------------------------------------
 
-_OPT_META_KEYS = ("learning_rate", "beta1", "beta2", "eps")
+# the fixed Adam constants, stored beside the rate so the header states them
+_ADAM_CONSTANTS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
 
 
 def save_training_checkpoint(path, result: PretrainResult) -> None:
@@ -372,7 +371,7 @@ def save_training_checkpoint(path, result: PretrainResult) -> None:
         "step": result.step,
         "epochs_done": result.epochs_done,
         "seed": result.params.seed,
-        "adam": {k: getattr(result.optimizer, k) for k in _OPT_META_KEYS},
+        "adam": {"learning_rate": result.optimizer.learning_rate, **_ADAM_CONSTANTS},
         "adam_step": result.optimizer.step,
     }
     save_checkpoint(path, result.params.config, arrays, meta)
@@ -388,25 +387,26 @@ def _meta_int(meta: dict, key: str, minimum: int | None = 0) -> int:
     return value
 
 
-def _meta_adam(meta: dict) -> dict[str, float]:
+def _meta_learning_rate(meta: dict) -> float:
+    """The stored Adam rate, 1e-3 when absent, after checking `meta.adam`;
+    ConfigMismatch otherwise."""
     adam = meta.get("adam", {})
     if not isinstance(adam, dict) or not all(
             type(x) is float and math.isfinite(x) for x in adam.values()):
         raise ConfigMismatch(f"checkpoint metadata adam is not an object of finite "
                              f"floats: {adam!r}")
-    unknown = sorted(set(adam) - set(_OPT_META_KEYS))
+    unknown = sorted(set(adam) - {"learning_rate", *_ADAM_CONSTANTS})
     if unknown:
         raise ConfigMismatch(f"checkpoint metadata adam has unknown key {unknown[0]!r}")
-    # beta = 1 divides by zero in adam_step's bias correction; a rate <= 0
-    # trains uphill or not at all
-    for key, ok, rule in (("learning_rate", lambda x: x > 0, "> 0"),
-                          ("beta1", lambda x: 0 <= x < 1, "in [0, 1)"),
-                          ("beta2", lambda x: 0 <= x < 1, "in [0, 1)"),
-                          ("eps", lambda x: x > 0, "> 0")):
-        if key in adam and not ok(adam[key]):
-            raise ConfigMismatch(f"checkpoint metadata adam.{key} is not {rule}: "
-                                 f"{adam[key]!r}")
-    return adam
+    rate = adam.get("learning_rate", 1e-3)
+    if rate <= 0:  # trains uphill or not at all
+        raise ConfigMismatch(f"checkpoint metadata adam.learning_rate is not > 0: {rate!r}")
+    # adam_step uses only the constants, so other stored values cannot resume
+    for key, value in _ADAM_CONSTANTS.items():
+        if adam.get(key, value) != value:
+            raise ConfigMismatch(f"checkpoint metadata adam.{key} is {adam[key]!r}, "
+                                 f"not the fixed {value!r}")
+    return rate
 
 
 def load_training_checkpoint(path) -> PretrainResult:
@@ -424,14 +424,10 @@ def load_training_checkpoint(path) -> PretrainResult:
         return found
 
     model, m, v = arrays("model."), arrays("opt.m."), arrays("opt.v.")
-    adam_meta = _meta_adam(ck.meta)
     layout = FlatLayout(expected)
     opt = AdamState(
         layout,
-        learning_rate=adam_meta.get("learning_rate", 1e-3),
-        beta1=adam_meta.get("beta1", 0.9),
-        beta2=adam_meta.get("beta2", 0.999),
-        eps=adam_meta.get("eps", 1e-8),
+        learning_rate=_meta_learning_rate(ck.meta),
         step=_meta_int(ck.meta, "adam_step"),
         m=layout.pack(m),
         v=layout.pack(v),

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .encoder import EncoderConfig
 from .graphs import MolecularGraph, make_graph
 
-# (atomic, chirality, bond type, bond direction); mirrors the encoder defaults
-DEFAULT_VOCAB = (12, 4, 5, 3)
+# (atomic, chirality, bond type, bond direction) of the default encoder
+DEFAULT_VOCAB = EncoderConfig().vocab
 
 
 def random_molecular_graph(

@@ -321,6 +321,14 @@ class TestGinMlp:
                                                 inject_bug="gin_mlp")] == [False]
 
 
+def test_gradcheck_reports_the_margin_below_the_floor():
+    # add's finite differences are exact up to rounding: every difference
+    # sits below the absolute floor, so only max_abs_err shows it
+    (result,) = run_gradcheck(0, components=["add"])
+    assert result.passed and result.max_rel_err == 0.0
+    assert 0.0 < result.max_abs_err < 1e-7
+
+
 def two_direction_reference(a, b, ids, tau):
     """Plain numpy: the row log-sum-exp terms of s = a @ b.T with the
     other-group mask plus those of s.T, and the gradient of their sum with

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import struct
 from dataclasses import replace
@@ -8,10 +10,17 @@ import pytest
 
 from linecontrast.autodiff import AdamState
 from linecontrast.checkpoint import load_checkpoint, save_checkpoint
-from linecontrast.cli import main, read_kv_config, resolve_train_config
+from linecontrast.cli import (
+    _CONFIG_KEYS,
+    build_parser,
+    main,
+    read_kv_config,
+    resolve_train_config,
+)
 from linecontrast.encoder import DualHelixParams, EncoderConfig
 from linecontrast.pipeline import (
     PretrainResult,
+    TrainConfig,
     load_training_checkpoint,
     save_corpus,
     save_training_checkpoint,
@@ -248,8 +257,10 @@ class TestPretrainCommand:
         ([], "tau=nan\n", "tau"),
         ([], "seed=-2\n", "seed"),
         ([], "inclusive_denominator=true\n", "unknown key 'inclusive_denominator'"),
+        ([], "shuffle=false\n", "unknown key 'shuffle'"),
     ], ids=["alpha nan", "tau inf", "beta inf", "learning rate inf", "seed negative",
-            "config tau nan", "config seed negative", "config inclusive_denominator"])
+            "config tau nan", "config seed negative", "config inclusive_denominator",
+            "config shuffle"])
     def test_bad_setting_exits_2_before_any_output(self, tmp_path, capsys, flags, config,
                                                     names):
         corpus = write_corpus(tmp_path, n=8)
@@ -305,7 +316,7 @@ class TestGradcheckCommand:
     def test_default_run_passes(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == 0
         text = capsys.readouterr().out
-        assert "objective: max_rel_err=" in text
+        assert "objective: max_rel_err=" in text and " max_abs_err=" in text
         assert "FAIL" not in text
 
     def test_injected_bug_fails_naming_component(self, capsys):
@@ -375,6 +386,7 @@ CORRUPTIONS = {
     "step a string": _edited_header(lambda h: h["meta"].update(step="x")),
     "seed null": _edited_header(lambda h: h["meta"].update(seed=None)),
     "adam beta1 one": _edited_header(lambda h: h["meta"]["adam"].update(beta1=1.0)),
+    "adam beta1 half": _edited_header(lambda h: h["meta"]["adam"].update(beta1=0.5)),
     "adam rate negative": _edited_header(
         lambda h: h["meta"]["adam"].update(learning_rate=-1.0)),
     "adam rate zero": _edited_header(lambda h: h["meta"]["adam"].update(learning_rate=0.0)),
@@ -473,6 +485,30 @@ class TestConfigResolution:
         from linecontrast.cli import ConfigError
         with pytest.raises(ConfigError):
             resolve_train_config("desk", read_kv_config(cfg_file), {})
+
+    def test_pretrain_flags_and_config_keys_agree(self):
+        # cmd_pretrain reads its flags through _CONFIG_KEYS, so a setting
+        # flag missing there, or cast differently, would be dropped or differ
+        # from the same setting in a config file
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a.type for a in subparsers.choices["pretrain"]._actions
+                 if a.dest not in ("help", "corpus", "config", "out", "resume", "preset")}
+        assert flags
+        for dest, caster in flags.items():
+            assert dest in _CONFIG_KEYS and _CONFIG_KEYS[dest][2] is caster, dest
+        fields = {"train": {f.name for f in dataclasses.fields(TrainConfig)} - {"encoder"},
+                  "encoder": {f.name for f in dataclasses.fields(EncoderConfig)}}
+        for key, (section, name, _) in _CONFIG_KEYS.items():
+            assert name in fields[section], key
+
+    def test_shuffle_flag_is_unrecognized(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, n=8)
+        with pytest.raises(SystemExit) as exited:
+            main(["pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+                  "--shuffle", "false"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --shuffle" in capsys.readouterr().err
 
     def test_verbosity_env_is_honored(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LINECONTRAST_LOG", "quiet")
