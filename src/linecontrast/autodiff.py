@@ -655,11 +655,10 @@ class AdamState:
     """Adam moments as one flat buffer each, plus the shared step counter.
 
     `m` and `v` hold every moment in `layout` order, the order of the flat
-    parameter buffer they update; omitted, they start at zero. `moments`
-    gives per-name views for the checkpoint. `grad` is a flat buffer to
-    gather a step's gradients into (`layout.pack(grads, out=state.grad)`);
-    it and one more buffer of the same size are the update's scratch, so a
-    step allocates nothing.
+    parameter buffer they update; omitted, they start at zero. `grad` is a
+    flat buffer to gather a step's gradients into
+    (`layout.pack(grads, out=state.grad)`); it and one more buffer of the
+    same size are the update's scratch, so a step allocates nothing.
     """
 
     layout: FlatLayout
@@ -686,10 +685,6 @@ class AdamState:
                    learning_rate: float = 1e-3) -> "AdamState":
         return cls(FlatLayout({name: p.shape for name, p in params.items()}),
                    learning_rate=learning_rate)
-
-    def moments(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Per-name views of m and v."""
-        return self.layout.views(self.m), self.layout.views(self.v)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:

@@ -65,7 +65,6 @@ _CONFIG_KEYS = {
     "chirality_vocab": ("encoder", "chirality_vocab", int),
     "bond_type_vocab": ("encoder", "bond_type_vocab", int),
     "bond_direction_vocab": ("encoder", "bond_direction_vocab", int),
-    "readout": ("encoder", "readout", str),
     "edge_fusion": ("encoder", "edge_fusion", _parse_bool),
     "tau": ("encoder", "tau", float),
     "alpha": ("encoder", "alpha", float),

@@ -83,22 +83,20 @@ class EncoderConfig:
     chirality_vocab: int = 4
     bond_type_vocab: int = 5
     bond_direction_vocab: int = 3
-    readout: str = "mean"
     edge_fusion: bool = True
     tau: float = 0.1
     alpha: float = 1.0
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
-        if self.hidden_dim < 2:
-            raise ValueError("hidden_dim must be at least 2")
-        for name in ("atomic_vocab", "chirality_vocab", "bond_type_vocab", "bond_direction_vocab"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.readout != "mean":
-            raise ValueError(f"unsupported readout {self.readout!r}")
+        for name, minimum in (("depth", 1), ("hidden_dim", 2), ("atomic_vocab", 1),
+                              ("chirality_vocab", 1), ("bond_type_vocab", 1),
+                              ("bond_direction_vocab", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < minimum:  # a bool is an int to isinstance
+                raise ValueError(f"{name} must be an int of at least {minimum}, got {value!r}")
+        if type(self.edge_fusion) is not bool:
+            raise ValueError(f"edge_fusion must be a bool, got {self.edge_fusion!r}")
         LossConfig(tau=self.tau, alpha=self.alpha, beta=self.beta)  # the losses' own checks
 
     @property

@@ -56,6 +56,9 @@ def _as_pairs(rows: Iterable[Sequence[int]], what: str) -> tuple[FeaturePair, ..
     for i, (a, b) in enumerate(pairs):
         if a < 0 or b < 0:
             raise InvariantViolation(f"{what} {i}: negative category index {(a, b)}")
+        if a >= 2 ** 63 or b >= 2 ** 63:  # batches hold features as int64
+            raise InvariantViolation(f"{what} {i}: category index {max(a, b)} "
+                                     "is outside the int64 range")
     return tuple(pairs)
 
 

@@ -19,8 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .autodiff import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, FlatLayout, Tape,
-                       ZeroNormRow, add, adam_step, scale)
+from .autodiff import AdamState, Tape, ZeroNormRow, add, adam_step, scale
 from .checkpoint import ConfigMismatch, load_checkpoint, save_checkpoint
 from .encoder import (
     BatchEncoding,
@@ -29,7 +28,6 @@ from .encoder import (
     ViewMismatch,
     embed_batch,
     encode_batch,
-    param_shapes,
 )
 from .graphs import (
     InvariantViolation,
@@ -354,86 +352,14 @@ def embed_corpus(corpus, params: DualHelixParams, batch_size: int = 64) -> np.nd
     return np.concatenate(rows, axis=0)
 
 
-# --- checkpoint composition -----------------------------------------------------
-
-# the fixed Adam constants, stored beside the rate so the header states them
-_ADAM_CONSTANTS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
-
+# --- checkpoints ----------------------------------------------------------------
 
 def save_training_checkpoint(path, result: PretrainResult) -> None:
-    m, v = result.optimizer.moments()
-    arrays: dict[str, np.ndarray] = {}
-    for name, arr in result.params.arrays.items():
-        arrays[f"model.{name}"] = arr
-        arrays[f"opt.m.{name}"] = m[name]
-        arrays[f"opt.v.{name}"] = v[name]
-    meta = {
-        "step": result.step,
-        "epochs_done": result.epochs_done,
-        "seed": result.params.seed,
-        "adam": {"learning_rate": result.optimizer.learning_rate, **_ADAM_CONSTANTS},
-        "adam_step": result.optimizer.step,
-    }
-    save_checkpoint(path, result.params.config, arrays, meta)
-
-
-def _meta_int(meta: dict, key: str, minimum: int | None = 0) -> int:
-    """An int metadata field, 0 when absent; ConfigMismatch otherwise."""
-    value = meta.get(key, 0)
-    # JSON true / false load as bools, which are ints to Python
-    if type(value) is not int or (minimum is not None and value < minimum):
-        kind = "an int" if minimum is None else f"an int >= {minimum}"
-        raise ConfigMismatch(f"checkpoint metadata {key} is not {kind}: {value!r}")
-    return value
-
-
-def _meta_learning_rate(meta: dict) -> float:
-    """The stored Adam rate, 1e-3 when absent, after checking `meta.adam`;
-    ConfigMismatch otherwise."""
-    adam = meta.get("adam", {})
-    if not isinstance(adam, dict) or not all(
-            type(x) is float and math.isfinite(x) for x in adam.values()):
-        raise ConfigMismatch(f"checkpoint metadata adam is not an object of finite "
-                             f"floats: {adam!r}")
-    unknown = sorted(set(adam) - {"learning_rate", *_ADAM_CONSTANTS})
-    if unknown:
-        raise ConfigMismatch(f"checkpoint metadata adam has unknown key {unknown[0]!r}")
-    rate = adam.get("learning_rate", 1e-3)
-    if rate <= 0:  # trains uphill or not at all
-        raise ConfigMismatch(f"checkpoint metadata adam.learning_rate is not > 0: {rate!r}")
-    # adam_step uses only the constants, so other stored values cannot resume
-    for key, value in _ADAM_CONSTANTS.items():
-        if adam.get(key, value) != value:
-            raise ConfigMismatch(f"checkpoint metadata adam.{key} is {adam[key]!r}, "
-                                 f"not the fixed {value!r}")
-    return rate
+    save_checkpoint(path, result.params, result.optimizer, result.step, result.epochs_done)
 
 
 def load_training_checkpoint(path) -> PretrainResult:
-    ck = load_checkpoint(path)
-    expected = param_shapes(ck.config)
-
-    def arrays(prefix: str) -> dict[str, np.ndarray]:
-        found = {}
-        for name, shape in expected.items():
-            arr = ck.arrays.get(prefix + name)
-            if arr is None or tuple(arr.shape) != shape:
-                raise ConfigMismatch(f"array {prefix}{name} missing or misshaped "
-                                     "for the stored config")
-            found[name] = arr
-        return found
-
-    model, m, v = arrays("model."), arrays("opt.m."), arrays("opt.v.")
-    layout = FlatLayout(expected)
-    opt = AdamState(
-        layout,
-        learning_rate=_meta_learning_rate(ck.meta),
-        step=_meta_int(ck.meta, "adam_step"),
-        m=layout.pack(m),
-        v=layout.pack(v),
-    )
-    params = DualHelixParams(config=ck.config, seed=_meta_int(ck.meta, "seed", minimum=None),
-                             arrays=model)
-    return PretrainResult(params=params, optimizer=opt, reports=[],
-                          step=_meta_int(ck.meta, "step"),
-                          epochs_done=_meta_int(ck.meta, "epochs_done"))
+    # called through this module's global, which perfbench's checkpoint.load timer patches
+    params, opt, step, epochs_done = load_checkpoint(path)
+    return PretrainResult(params=params, optimizer=opt, reports=[], step=step,
+                          epochs_done=epochs_done)

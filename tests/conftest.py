@@ -1,3 +1,8 @@
+import json
+import math
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -53,8 +58,9 @@ def rng():
     return np.random.default_rng(12345)
 
 
-# corpus records with a non-integer entry or row, each with the message
-# that names it; load_corpus prefixes the line number
+# corpus records with an entry that is not an integer, a feature beyond
+# int64, or a row that is not a pair, each with the message that names it;
+# load_corpus prefixes the line number
 NON_INTEGER_RECORDS = {
     "node row 5": ('{"nodes":[[0,0],5],"edges":[[0,1,0,0]]}', "node 1: expected a pair, got 5"),
     "null entry": ('{"nodes":[[0,null],[0,0]],"edges":[[0,1,0,0]]}',
@@ -67,4 +73,33 @@ NON_INTEGER_RECORDS = {
                      "edge feature 0: entry True is not an integer"),
     "float direction": ('{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,1.0]]}',
                         "edge feature 0: entry 1.0 is not an integer"),
+    "atom 2**63": ('{"nodes":[[0,0],[9223372036854775808,0]],"edges":[[0,1,0,0]]}',
+                   "node 1: category index 9223372036854775808 is outside the int64 range"),
+    "direction 2**64": ('{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,18446744073709551616]]}',
+                        "edge feature 0: category index 18446744073709551616 is outside "
+                        "the int64 range"),
 }
+
+
+def read_checkpoint_tables(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """A checkpoint's JSON header and its arrays by table name."""
+    raw = Path(path).read_bytes()
+    (size,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + size])
+    data = np.frombuffer(raw, dtype="<f8", offset=12 + size)
+    arrays, start = {}, 0
+    for name, shape in header["params"]:
+        arrays[name] = data[start:start + math.prod(shape)].reshape(shape)
+        start += math.prod(shape)
+    return header, arrays
+
+
+def write_checkpoint_tables(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """The version-1 container as a generic writer: `header` with the table
+    of `arrays` in sorted name order, then each array's data in that order;
+    so it can write tables that the program never writes."""
+    names = sorted(arrays)
+    header = {**header, "params": [[name, list(arrays[name].shape)] for name in names]}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    Path(path).write_bytes(b"LNCT0001" + struct.pack("<I", len(blob)) + blob
+                           + b"".join(arrays[name].astype("<f8").tobytes() for name in names))

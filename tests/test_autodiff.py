@@ -483,7 +483,7 @@ class TestAdam:
                      * (rng.random(s) > 0.2) for k, s in shapes.items()}
             named_step(flat, grads, state)
             per_array_adam(ref, grads, ref_state)
-            m, v = state.moments()
+            m, v = state.layout.views(state.m), state.layout.views(state.v)
             for k in shapes:
                 assert np.array_equal(params[k], ref[k]), (i, k)
                 assert np.array_equal(m[k], ref_state["m"][k]), (i, k)
@@ -493,7 +493,7 @@ class TestAdam:
     def test_views_and_moments_share_the_flat_buffers(self):
         flat, params, state = flat_adam({"b": np.zeros((2, 2)), "a": np.zeros((1, 3))})
         assert state.layout.names == ["a", "b"]
-        m, v = state.moments()
+        m, v = state.layout.views(state.m), state.layout.views(state.v)
         for name in ("a", "b"):
             assert np.shares_memory(params[name], flat)
             assert np.shares_memory(m[name], state.m) and np.shares_memory(v[name], state.v)

@@ -2,14 +2,12 @@ import argparse
 import dataclasses
 import json
 import struct
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from linecontrast.autodiff import AdamState
-from linecontrast.checkpoint import load_checkpoint, save_checkpoint
 from linecontrast.cli import (
     _CONFIG_KEYS,
     build_parser,
@@ -27,7 +25,7 @@ from linecontrast.pipeline import (
 )
 from linecontrast.synth import random_molecular_graph
 
-from conftest import NON_INTEGER_RECORDS
+from conftest import NON_INTEGER_RECORDS, read_checkpoint_tables, write_checkpoint_tables
 
 DATA = Path(__file__).parent / "data"
 
@@ -168,14 +166,13 @@ class TestPretrainCommand:
         code, out_dir = self.run_pretrain(tmp_path, corpus)
         assert code == 0
         ckpt_path = out_dir / "checkpoint.bin"
-        ck = load_checkpoint(ckpt_path)
+        header, arrays = read_checkpoint_tables(ckpt_path)
         if kind == "missing":
-            arrays = {k: a for k, a in ck.arrays.items() if k.startswith("model.")}
+            arrays = {k: a for k, a in arrays.items() if k.startswith("model.")}
         else:
-            arrays = dict(ck.arrays)
             name = next(k for k in sorted(arrays) if k.startswith("opt.v."))
             arrays[name] = np.zeros((1, 1))
-        save_checkpoint(ckpt_path, ck.config, arrays, ck.meta)
+        write_checkpoint_tables(ckpt_path, header, arrays)
         capsys.readouterr()
         code = main(["pretrain", "--corpus", str(corpus), "--out", str(out_dir),
                      "--epochs", "2", "--batch-size", "4", "--hidden-dim", "16",
@@ -230,16 +227,17 @@ class TestPretrainCommand:
         code, old_dir = self.run_pretrain(tmp_path, corpus)
         assert code == 0
         ckpt_path = old_dir / "checkpoint.bin"
-        ck = load_checkpoint(ckpt_path)
-        drawn = DualHelixParams.initialize(replace(ck.config, edge_fusion=False), 1).arrays
-        unread = sorted(set(drawn) - {k.removeprefix("model.") for k in ck.arrays})
+        header, arrays = read_checkpoint_tables(ckpt_path)
+        config = {**header["config"], "edge_fusion": False}
+        del config["readout"]
+        drawn = DualHelixParams.initialize(EncoderConfig(**config), 1).arrays
+        unread = sorted(set(drawn) - {k.removeprefix("model.") for k in arrays})
         assert unread == ["graph.layer1.edge.bond_direction", "graph.layer1.edge.bond_type",
                           "line.layer1.edge.atomic", "line.layer1.edge.chirality"]
-        arrays = dict(ck.arrays)
         for name in unread:
             arrays[f"model.{name}"] = drawn[name]
             arrays[f"opt.m.{name}"] = arrays[f"opt.v.{name}"] = np.zeros_like(drawn[name])
-        save_checkpoint(ckpt_path, ck.config, arrays, ck.meta)
+        write_checkpoint_tables(ckpt_path, header, arrays)
         straight_dir = tmp_path / "straight"
         for out_dir, extra in ((old_dir, ["--resume"]), (straight_dir, [])):
             assert main(["pretrain", "--corpus", str(corpus), "--out", str(out_dir),
@@ -258,9 +256,10 @@ class TestPretrainCommand:
         ([], "seed=-2\n", "seed"),
         ([], "inclusive_denominator=true\n", "unknown key 'inclusive_denominator'"),
         ([], "shuffle=false\n", "unknown key 'shuffle'"),
+        ([], "readout=mean\n", "unknown key 'readout'"),
     ], ids=["alpha nan", "tau inf", "beta inf", "learning rate inf", "seed negative",
             "config tau nan", "config seed negative", "config inclusive_denominator",
-            "config shuffle"])
+            "config shuffle", "config readout"])
     def test_bad_setting_exits_2_before_any_output(self, tmp_path, capsys, flags, config,
                                                     names):
         corpus = write_corpus(tmp_path, n=8)
@@ -347,6 +346,21 @@ class TestEmbedCommand:
         expected = embed_corpus(load_corpus(corpus), state.params)
         assert np.allclose(np.array(rows), expected, atol=1e-12)
 
+    def test_corpus_integer_beyond_int64_exits_1_with_one_line(self, tmp_path, capsys):
+        params = DualHelixParams.initialize(EncoderConfig(depth=1, hidden_dim=4), 0)
+        ckpt = tmp_path / "checkpoint.bin"
+        save_training_checkpoint(ckpt, PretrainResult(
+            params=params, optimizer=AdamState.for_params(params.arrays), reports=[]))
+        corpus = tmp_path / "big.jsonl"
+        corpus.write_text('{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,0]]}\n'
+                          '{"nodes":[[9223372036854775808,0],[0,0]],"edges":[[0,1,0,0]]}\n')
+        code = main(["embed", "--corpus", str(corpus), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: line 2: node 0: category index 9223372036854775808 is outside the "
+            "int64 range"]
+
     def test_missing_checkpoint_exits_2(self, tmp_path):
         corpus = write_corpus(tmp_path, n=4)
         assert main(["embed", "--corpus", str(corpus), "--ckpt",
@@ -395,6 +409,11 @@ CORRUPTIONS = {
         adam={"learning_rat": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8})),
     "trailing bytes": lambda raw: raw + b"\x00",
     "config tau NaN": _edited_header(lambda h: h["config"].update(tau=float("nan"))),
+    "depth 2.5": _edited_header(lambda h: h["config"].update(depth=2.5)),
+    "depth true": _edited_header(lambda h: h["config"].update(depth=True)),
+    "edge_fusion yes": _edited_header(lambda h: h["config"].update(edge_fusion="yes")),
+    "readout sum": _edited_header(lambda h: h["config"].update(readout="sum")),
+    "seed -1": _edited_header(lambda h: h["meta"].update(seed=-1)),
 }
 
 

@@ -450,7 +450,10 @@ class TestParams:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EncoderConfig(depth=0)
-        with pytest.raises(ValueError):
-            EncoderConfig(readout="sum")
+        # integer fields take ints only, and edge_fusion a bool only
+        for bad in ({"depth": 2.5}, {"hidden_dim": True}, {"atomic_vocab": 3.0},
+                    {"edge_fusion": 1}):
+            with pytest.raises(ValueError):
+                EncoderConfig(**bad)
         with pytest.raises(ValueError):
             EncoderConfig(tau=0.0)

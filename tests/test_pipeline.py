@@ -33,7 +33,8 @@ from linecontrast.pipeline import (
 )
 from linecontrast.synth import make_hard_negative_pair, random_molecular_graph
 
-from conftest import NON_INTEGER_RECORDS, path3, single_edge, star, triangle
+from conftest import (NON_INTEGER_RECORDS, path3, read_checkpoint_tables, single_edge, star,
+                      triangle, write_checkpoint_tables)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -320,13 +321,18 @@ class TestCheckpoint:
 
     def test_round_trip_preserves_arrays_exactly(self, tmp_path):
         params = DualHelixParams.initialize(CFG, 3)
+        opt = AdamState.for_params(params.arrays, learning_rate=0.02)
+        opt.step = 7
+        opt.m[:] = np.random.default_rng(0).standard_normal(opt.m.size)
+        opt.v[:] = np.random.default_rng(1).random(opt.v.size)
         path = tmp_path / "raw.bin"
-        save_checkpoint(path, CFG, params.arrays, {"seed": 3})
-        loaded = load_checkpoint(path)
-        assert loaded.config == CFG
-        assert loaded.meta == {"seed": 3}
+        save_checkpoint(path, params, opt, 11, 4)
+        loaded, loaded_opt, step, epochs_done = load_checkpoint(path)
+        assert (loaded.config, loaded.seed, step, epochs_done) == (CFG, 3, 11, 4)
+        assert (loaded_opt.learning_rate, loaded_opt.step) == (0.02, 7)
         for k, v in params.arrays.items():
             assert np.array_equal(loaded.arrays[k], v)
+        assert np.array_equal(loaded_opt.m, opt.m) and np.array_equal(loaded_opt.v, opt.v)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -337,7 +343,7 @@ class TestCheckpoint:
     def test_truncated_data_rejected(self, tmp_path):
         params = DualHelixParams.initialize(CFG, 0)
         path = tmp_path / "full.bin"
-        save_checkpoint(path, CFG, params.arrays, {})
+        save_checkpoint(path, params, AdamState.for_params(params.arrays), 0, 0)
         clipped = path.read_bytes()[:-16]
         path.write_bytes(clipped)
         with pytest.raises(ConfigMismatch, match="truncated"):
@@ -345,10 +351,11 @@ class TestCheckpoint:
 
     def test_missing_parameter_detected_on_training_load(self, tmp_path):
         result = pretrain(small_corpus(8), tiny_train_config(epochs=1))
-        arrays = {f"model.{k}": v for k, v in result.params.arrays.items()}
-        arrays.pop("model.proj.w1")
         path = tmp_path / "partial.bin"
-        save_checkpoint(path, CFG, arrays, {})
+        save_training_checkpoint(path, result)
+        header, arrays = read_checkpoint_tables(path)
+        arrays.pop("model.proj.w1")
+        write_checkpoint_tables(path, header, arrays)
         with pytest.raises(ConfigMismatch, match="proj.w1"):
             load_training_checkpoint(path)
 
@@ -357,7 +364,7 @@ def assert_flat(params, opt):
     """Each array and moment is a view into its flat buffer, and the views
     tile the buffer in sorted name order."""
     names = sorted(params.arrays)
-    m, v = opt.moments()
+    m, v = opt.layout.views(opt.m), opt.layout.views(opt.v)
     for views, flat in ((params.arrays, params.flat), (m, opt.m), (v, opt.v)):
         assert list(views) == names
         assert all(np.shares_memory(views[n], flat) for n in names)
@@ -474,25 +481,31 @@ class TestEmbedCorpus:
         assert sorted(layers) == sorted([f"graph.layer{c}" for c in range(depth)]
                                         + [f"line.layer{c}" for c in range(line)])
 
-    def test_benchmark_hooks_time_every_batch_and_undo(self, monkeypatch):
+    def test_benchmark_hooks_time_every_batch_and_undo(self, monkeypatch, tmp_path):
         # the embedding twin of TestTrainStep's hook test: perfbench starts a
-        # step at each Batch.build and counts the encoder's gin_layer calls
+        # step at each Batch.build, counts the encoder's gin_layer calls, and
+        # times each checkpoint load through pipeline.load_checkpoint
         monkeypatch.syspath_prepend(str(PERFBENCH))
         hooks = importlib.import_module("hooks")
         owners = (pipeline, pipeline.Batch, encoder, losses, autodiff, autodiff.Tape)
         before = [{k: v for k, v in vars(o).items() if k != "_transform_calls"}
                   for o in owners]
         cfg = replace(CFG, depth=3)
+        ckpt = tmp_path / "ckpt.bin"
         params = DualHelixParams.initialize(cfg, 0)
+        save_training_checkpoint(ckpt, pipeline.PretrainResult(
+            params=params, optimizer=AdamState.for_params(params.arrays), reports=[]))
         clock, tracer, patches = hooks.StepClock(), hooks.Tracer(), hooks.Patches()
         clock.install(patches)
         tracer.install_corpus_level()
         tracer.set_step_mode("timed")
         try:
+            params = load_training_checkpoint(ckpt).params
             rows = embed_corpus(small_corpus(10), params, batch_size=3)
         finally:
             tracer.remove()
             patches.undo()
+        assert len(tracer.per_call["checkpoint.load"]) == 1
         assert rows.shape == (10, cfg.hidden_dim)
         assert len(clock.starts) == 4
         assert tracer.counts["pipeline.transform_corpus"] == 1
