@@ -283,9 +283,10 @@ class Incidence:
     """The V x E unsigned incidence matrix B of an edge list, for rows of
     one width: B[r, k] = 1 when node r is an endpoint of edge k.
 
-    incident_sum and endpoint_sum read it in forward and in backward. The
-    endpoints are checked once here, and the flat (row, column) bincount
-    index of B's 2E nonzeros at `width` is formed once here.
+    helix_layer reads it in forward and in backward. The endpoints are
+    checked once here, and the flat (row, column) bincount index of B's 2E
+    nonzeros at `width`, the far end of each of them and the degrees less
+    one are formed once here.
     """
 
     def __init__(self, edges, num_nodes: int, width: int):
@@ -300,10 +301,8 @@ class Incidence:
         ends = np.concatenate([self.u, self.v])
         self.degree = np.bincount(ends, minlength=num_nodes)
         self._flat = _flat_index(ends, width)
-
-    def check(self, x: Tensor, rows: int, what: str) -> None:
-        if x.shape != (rows, self.width):
-            raise ShapeMismatch(f"{what}: {x.shape}, expected {(rows, self.width)}")
+        self._other = np.concatenate([self.v, self.u])  # the far end of each of `ends`
+        self._deg_less_one = self.degree[:, None] - 1.0
 
     def into_nodes(self, x: np.ndarray) -> np.ndarray:
         """B x; each node sums its u-side edges first, then its v-side ones."""
@@ -315,29 +314,14 @@ class Incidence:
         out += np.take(y, self.v, axis=0)
         return out
 
-
-def incident_sum(x, inc: Incidence) -> Tensor:
-    """B x: each row of the E x d `x` added into both endpoints of its
-    edge, V x d out; the adjoint of endpoint_sum."""
-    x = _as_tensor(x)
-    inc.check(x, inc.num_edges, "incident_sum")
-
-    def backward(g):
-        return (inc.endpoints(g),)
-
-    return _apply(_tape_of(x), inc.into_nodes(x.data), (x,), backward)
-
-
-def endpoint_sum(y, inc: Incidence) -> Tensor:
-    """B^T y = y[u] + y[v] for each edge (u, v) of the V x d `y`, E x d
-    out; the adjoint of incident_sum."""
-    y = _as_tensor(y)
-    inc.check(y, inc.num_nodes, "endpoint_sum")
-
-    def backward(g):
-        return (inc.into_nodes(g),)
-
-    return _apply(_tape_of(y), inc.endpoints(y.data), (y,), backward)
+    def adjacent(self, y: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+        """A y + B a, with A = B B^T - D the adjacency: each node sums, over
+        its edges, the far end's row of y plus the edge's row of a."""
+        rows = np.take(y, self._other, axis=0)
+        if a is not None:
+            halves = rows.reshape(2, self.num_edges, rows.shape[1])  # a view
+            halves += a
+        return _sum_rows_into(rows, self._flat, self.num_nodes)
 
 
 def relu(x) -> Tensor:
@@ -351,32 +335,45 @@ def relu(x) -> Tensor:
     return _apply(_tape_of(x), out, (x,), backward)
 
 
-def gin_mlp(h, neighbours, self_loop, w1, b1, w2, b2) -> Tensor:
-    """relu(relu((h + neighbours + self_loop) @ w1 + b1) @ w2 + b2), one GIN
-    layer update, as one tape node.
+def helix_layer(h, attr, inc: Incidence, line: bool, self_loop, w1, b1, w2, b2) -> Tensor:
+    """relu(relu((h + nbr + self_loop) @ w1 + b1) @ w2 + b2), one GIN layer
+    update over the incidence matrix B of `inc`, as one tape node; nbr sums
+    each row's neighbours plus the attribute of the joining edge.
 
-    `h` and `neighbours` are n x d, `self_loop` 1 x d, `w1` d x k, `b1`
-    1 x k, `w2` k x m and `b2` 1 x m. The arithmetic runs in the order of
-    the same update composed from add, matmul and relu, so values and
-    gradients equal that composition bit for bit. Forward works in place
-    and keeps the layer input, the hidden post-ReLU array (backward reads
-    the inner mask from it) and, when a tape records the call, the outer
-    mask as bools: keeping the output instead would hold every line-helix
-    layer's output until backward, which nothing else does. An untaped
-    call forms no mask. Backward never writes into its incoming gradient.
+    Graph rule: `h` is V x d, `attr` E x d, and nbr = A h + B attr with
+    A = B B^T - D the adjacency. Line rule (`line`): `h` is E x d, one row
+    per source edge, and `attr` V x d; the line graph's adjacency is
+    B^T B - 2I and each line edge carries the source node its two edges
+    share, so nbr = B^T (B h + (D - I) attr) - 2 h. d is `inc.width`.
+
+    Forward works in place and keeps the layer input, the hidden post-ReLU
+    array (backward reads the inner mask from it) and, when a tape records
+    the call, the outer mask as bools: keeping the output instead would
+    hold every line-helix layer's output until backward, which nothing
+    else does. An untaped call forms no mask. Backward never writes into
+    its incoming gradient.
     """
-    ins = tuple(_as_tensor(t) for t in (h, neighbours, self_loop, w1, b1, w2, b2))
-    h, neighbours, self_loop, w1, b1, w2, b2 = ins
-    n, d = h.shape
+    ins = tuple(_as_tensor(t) for t in (h, attr, self_loop, w1, b1, w2, b2))
+    h, attr, self_loop, w1, b1, w2, b2 = ins
+    rows, cols = (inc.num_edges, inc.num_nodes) if line else (inc.num_nodes, inc.num_edges)
+    d = inc.width
     k, m = w1.shape[1], w2.shape[1]
-    expected = ((n, d), (n, d), (1, d), (d, k), (1, k), (k, m), (1, m))
+    expected = ((rows, d), (cols, d), (1, d), (d, k), (1, k), (k, m), (1, m))
     if tuple(t.shape for t in ins) != expected:
-        raise ShapeMismatch("gin_mlp: h, neighbours, self_loop, w1, b1, w2, b2 have shapes "
+        raise ShapeMismatch(f"helix_layer ({'line' if line else 'graph'} rule): h, attr, "
+                            "self_loop, w1, b1, w2, b2 have shapes "
                             f"{', '.join(str(t.shape) for t in ins)}, expected "
                             f"{', '.join(map(str, expected))}")
     tape = _tape_of(*ins)
-    w1_data, w2_data = w1.data, w2.data
-    x = h.data + neighbours.data
+    h_data, w1_data, w2_data = h.data, w1.data, w2.data
+    if line:
+        t = inc.into_nodes(h_data)
+        t += attr.data * inc._deg_less_one
+        x = inc.endpoints(t)
+        x -= 2.0 * h_data
+    else:
+        x = inc.adjacent(h_data, attr.data)
+    x += h_data
     x += self_loop.data
     z = x @ w1_data
     z += b1.data
@@ -391,7 +388,16 @@ def gin_mlp(h, neighbours, self_loop, w1, b1, w2, b2) -> Tensor:
         gz = g2 @ w2_data.T
         gz *= z > 0.0
         gx = gz @ w1_data.T
-        return (gx, gx, gx.sum(axis=0, keepdims=True),
+        if line:
+            g_attr = inc.into_nodes(gx)
+            g_h = inc.endpoints(g_attr)
+            g_h -= gx
+            g_attr *= inc._deg_less_one
+        else:
+            g_h = inc.adjacent(gx)
+            g_h += gx
+            g_attr = inc.endpoints(gx)
+        return (g_h, g_attr, gx.sum(axis=0, keepdims=True),
                 x.T @ gz, gz.sum(axis=0, keepdims=True),
                 z.T @ g2, g2.sum(axis=0, keepdims=True))
 

@@ -11,16 +11,15 @@ of Hu et al. (ICLR 2020) does at every layer; only those layers hold
 edge tables. The vocabularies are checked once per batch.
 
 Both helices run on the V x E incidence matrix B of the source graph,
-built once per batch; the line graph's own arcs are never built. Two
-adjoint primitives carry rows across it: incident_sum (B x, each edge row
-added into both endpoints) and endpoint_sum (B^T y = y[u] + y[v]). The
-graph helix's neighbour sum is B(B^T h + a) - D h, where a holds the edge
-attributes and D the node degrees: each edge carries both endpoints' sum
-plus its attribute to both endpoints, and D h takes each node's own share
-back out. The line graph's adjacency is B^T B - 2I, so line node
-e = (u, v) neighbours the other edges at u and at v, and the line edge to
-each carries the shared node's vector x. Its neighbour sum is
-B^T t - 2 h_e with t = B h + (deg - 1) x.
+built once per batch; the line graph's own arcs are never built. Each
+layer of each helix is one helix_layer call, which forms the neighbour
+sum from B and applies the GIN MLP as one tape node. The graph helix's
+neighbour sum is A h + B a, where A = B B^T - D is the adjacency and a
+holds the edge attributes: each node sums, over its edges, the far end's
+state plus the edge's attribute. The line graph's adjacency is
+B^T B - 2I, so line node e = (u, v) neighbours the other edges at u and
+at v, and the line edge to each carries the shared node's vector x. Its
+neighbour sum is B^T t - 2 h_e with t = B h + (deg - 1) x.
 
 Training reads both helices' final states (encode_batch). Embedding
 returns only the graph helix's pooled output (embed_batch), and that
@@ -44,14 +43,11 @@ from .autodiff import (
     add,
     concat_cols,
     constant,
-    endpoint_sum,
     gather_rows,
-    gin_mlp,
-    incident_sum,
+    helix_layer,
     matmul,
     mul,
     relu,
-    scale,
     scatter_add_rows,
 )
 from .losses import LossConfig
@@ -209,15 +205,17 @@ def embed_pair(feats: np.ndarray, table_a: Tensor, table_b: Tensor) -> Tensor:
     return add(gather_rows(table_a, feats[:, 0]), gather_rows(table_b, feats[:, 1]))
 
 
-def gin_layer(h: Tensor, neighbours: Tensor, params: dict[str, Tensor], layer: str) -> Tensor:
+def gin_layer(h: Tensor, attr: Tensor, inc: Incidence, line: bool,
+              params: dict[str, Tensor], layer: str) -> Tensor:
     """One update of `layer` (a parameter prefix such as "graph.layer0"):
     relu(MLP(h_v + neighbours_v + self-loop vector)), where neighbours_v
     sums, over the neighbours w of v, h_w plus the attribute of the edge
-    joining them, and the MLP is relu(x W1 + b1) W2 + b2. One gin_mlp
-    call, so one tape node per layer and helix."""
-    return gin_mlp(h, neighbours, params[f"{layer}.self_loop"],
-                   params[f"{layer}.mlp1.w"], params[f"{layer}.mlp1.b"],
-                   params[f"{layer}.mlp2.w"], params[f"{layer}.mlp2.b"])
+    joining them, and the MLP is relu(x W1 + b1) W2 + b2. `line` picks the
+    line graph's rule over the incidence matrix `inc` (see helix_layer).
+    One helix_layer call, so one tape node per layer and helix."""
+    return helix_layer(h, attr, inc, line, params[f"{layer}.self_loop"],
+                       params[f"{layer}.mlp1.w"], params[f"{layer}.mlp1.b"],
+                       params[f"{layer}.mlp2.w"], params[f"{layer}.mlp2.b"])
 
 
 @dataclass
@@ -266,8 +264,6 @@ def _helices(batch, params: dict[str, Tensor], cfg: EncoderConfig,
     _check_vocab(batch.node_feat, (cfg.atomic_vocab, cfg.chirality_vocab), "node")
     _check_vocab(batch.edge_feat, (cfg.bond_type_vocab, cfg.bond_direction_vocab), "edge")
     inc = Incidence(batch.edges, batch.num_nodes, cfg.hidden_dim)
-    neg_deg = constant(-inc.degree[:, None])
-    deg_less_one = constant(inc.degree[:, None] - 1.0)
     # line-node features are the source edge features, so the line helix's
     # node tables are bond tables and its edge tables atom tables
     h = embed_pair(batch.node_feat, params["graph.embed.atomic"], params["graph.embed.chirality"])
@@ -286,17 +282,10 @@ def _helices(batch, params: dict[str, Tensor], cfg: EncoderConfig,
                                      params[f"line.layer{c}.edge.chirality"])
         else:
             g_eattr, l_eattr = e_prev, h_prev
-        # node v sums B(B^T h + a) - D h: the far end's h plus a, per edge at v
-        g_neighbours = add(incident_sum(add(endpoint_sum(h, inc), g_eattr), inc),
-                           mul(h, neg_deg))
-        if line:
-            # line node (u, v) sums B^T t - 2 e, with t = B e + (deg - 1) x
-            t = add(incident_sum(e, inc), mul(l_eattr, deg_less_one))
-            l_neighbours = add(endpoint_sum(t, inc), scale(e, -2.0))
         h_prev, e_prev = h, e
-        h = gin_layer(h, g_neighbours, params, f"graph.layer{c}")
+        h = gin_layer(h, g_eattr, inc, False, params, f"graph.layer{c}")
         if line:
-            e = gin_layer(e, l_neighbours, params, f"line.layer{c}")
+            e = gin_layer(e, l_eattr, inc, True, params, f"line.layer{c}")
     return h, e
 
 

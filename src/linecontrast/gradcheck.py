@@ -170,43 +170,40 @@ def _primitive_cases(rng: np.random.Generator) -> dict[str, list[Case]]:
         (lambda t: ad.block_xent(t["a"], t["b"], block_offsets, 0.5)[0],
          {"a": mat(6, 3), "b": mat(6, 3)}),
     ]
-    # node 0 meets three edges, node 4 none
-    inc = ad.Incidence(np.array([[0, 1], [0, 2], [2, 3], [0, 3]]), 5, 3)
-    w53 = rng.standard_normal((5, 3))
-    w43 = rng.standard_normal((4, 3))
-    cases["incident_sum"] = [
-        (lambda t: _scalarize(ad.incident_sum(t["x"], inc), w53), {"x": mat(4, 3)}),
-    ]
-    cases["endpoint_sum"] = [
-        (lambda t: _scalarize(ad.endpoint_sum(t["y"], inc), w43), {"y": mat(5, 3)}),
-    ]
-    cases["gin_mlp"] = [_gin_mlp_case(rng)]
+    cases["helix_layer"] = [_helix_layer_case(rng, line) for line in (False, True)]
     return cases
 
 
 _KINK_MARGIN = 1e-2
+# node 0 meets three edges, node 4 none
+_INCIDENCE = ad.Incidence(np.array([[0, 1], [0, 2], [2, 3], [0, 3]]), 5, 3)
 
 
-def _gin_mlp_case(rng: np.random.Generator) -> Case:
-    """One GIN update on 5 rows (width 3, hidden 6, out 4) with units dead
-    and alive in both ReLU halves. Inputs are redrawn until every
-    pre-activation lies at least _KINK_MARGIN from the kink, far beyond
-    what a finite-difference step moves it."""
-    shapes = {"h": (5, 3), "neighbours": (5, 3), "self_loop": (1, 3),
+def _helix_layer_case(rng: np.random.Generator, line: bool) -> Case:
+    """One GIN update over _INCIDENCE by the graph or the line rule (width
+    3, hidden 6, out 4) with units dead and alive in both ReLU halves.
+    Inputs are redrawn until every pre-activation lies at least
+    _KINK_MARGIN from the kink, far beyond what a finite-difference step
+    moves it."""
+    inc = _INCIDENCE
+    rows, cols = (inc.num_edges, inc.num_nodes) if line else (inc.num_nodes, inc.num_edges)
+    shapes = {"h": (rows, 3), "attr": (cols, 3), "self_loop": (1, 3),
               "w1": (3, 6), "b1": (1, 6), "w2": (6, 4), "b2": (1, 4)}
-    weights = rng.standard_normal((5, 4))
+    weights = rng.standard_normal((rows, 4))
     while True:
         arrays = {k: rng.standard_normal(s) for k, s in shapes.items()}
-        x = arrays["h"] + arrays["neighbours"] + arrays["self_loop"]
-        pre1 = x @ arrays["w1"] + arrays["b1"]
+        h, attr = arrays["h"], arrays["attr"]
+        nbr = (inc.endpoints(inc.into_nodes(h) + attr * (inc.degree[:, None] - 1.0)) - 2.0 * h
+               if line else inc.adjacent(h, attr))
+        pre1 = (h + nbr + arrays["self_loop"]) @ arrays["w1"] + arrays["b1"]
         pre2 = np.maximum(pre1, 0.0) @ arrays["w2"] + arrays["b2"]
         if all(np.abs(p).min() >= _KINK_MARGIN and (p < 0).any() and (p > 0).any()
                for p in (pre1, pre2)):
             break
 
     def build(t: dict[str, Tensor]) -> Tensor:
-        return _scalarize(ad.gin_mlp(t["h"], t["neighbours"], t["self_loop"], t["w1"],
-                                     t["b1"], t["w2"], t["b2"]), weights)
+        return _scalarize(ad.helix_layer(t["h"], t["attr"], inc, line, t["self_loop"],
+                                         t["w1"], t["b1"], t["w2"], t["b2"]), weights)
 
     return build, arrays
 

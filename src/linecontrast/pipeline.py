@@ -277,7 +277,8 @@ def pretrain(corpus, cfg: TrainConfig, *, metrics_path=None,
     Deterministic given the seed: initialization, the per-epoch shuffle
     (derived from seed and epoch), and every update are reproducible
     bit-for-bit. One LossReport is emitted per step; with a metrics path it
-    is also appended as one JSON object per line.
+    is also written as one JSON object per line, to a file that a fresh run
+    truncates and a resume (`init`) appends to.
     """
     if len(corpus) < cfg.batch_size:
         raise ValueError(f"corpus has {len(corpus)} graphs, batch needs {cfg.batch_size}")
@@ -301,7 +302,8 @@ def pretrain(corpus, cfg: TrainConfig, *, metrics_path=None,
     reports: list[LossReport] = []
     epoch_means: dict[int, float] = {}
 
-    metrics_fh = open(metrics_path, "a", encoding="utf-8") if metrics_path else None
+    metrics_fh = (open(metrics_path, "w" if init is None else "a", encoding="utf-8")
+                  if metrics_path else None)
     try:
         for epoch in range(first_epoch, cfg.epochs):
             order = np.random.default_rng([cfg.seed, epoch]).permutation(len(pairs))

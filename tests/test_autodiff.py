@@ -12,7 +12,15 @@ from linecontrast.autodiff import (
     ZeroNormRow,
     adam_step,
 )
-from linecontrast.gradcheck import _gin_mlp_case, run_gradcheck
+from linecontrast.encoder import DualHelixParams, embed_batch, encode_batch
+from linecontrast.gradcheck import (
+    _INCIDENCE,
+    _helix_layer_case,
+    run_gradcheck,
+)
+from linecontrast.graphs import to_line_graph
+from linecontrast.pipeline import Batch, compute_step_losses, desk_train_config, loss_config
+from linecontrast.synth import random_molecular_graph
 
 
 def scalar_loss_sum_of_squares(tape, values):
@@ -189,54 +197,68 @@ class TestRowScatterKernel:
         assert not g.any()
 
 
+def dense_incidence(edges, num_nodes):
+    b = np.zeros((num_nodes, len(edges)))
+    for k, (u, v) in enumerate(edges):
+        b[u, k] = b[v, k] = 1.0
+    return b
+
+
+def dense_neighbour_maps(edges, num_nodes, line):
+    """The maps of helix_layer's neighbour sum on h and on attr: graph rule
+    B B^T - D and B, line rule B^T B - 2I and B^T (D - I)."""
+    b = dense_incidence(edges, num_nodes)
+    deg = np.diag(b.sum(axis=1))
+    if line:
+        return b.T @ b - 2.0 * np.eye(len(edges)), b.T @ (deg - np.eye(num_nodes))
+    return b @ b.T - deg, b
+
+
+def weighted_sum(out, weights):
+    return ad.matmul(ad.matmul(ad.constant(np.ones((1, out.shape[0]))),
+                               ad.mul(out, ad.constant(weights))),
+                     ad.constant(np.ones((out.shape[1], 1))))
+
+
 class TestIncidenceSums:
-    """incident_sum (B x) and endpoint_sum (B^T y) against a dense B."""
+    """helix_layer's neighbour sums against a dense incidence matrix B."""
 
     # node 0 meets three edges, node 5 none; edges (1, 2) and (2, 4) share node 2
     EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [2, 4]])
     V, D = 6, 4
 
-    def dense(self, edges=EDGES):
-        b = np.zeros((self.V, len(edges)))
-        for k, (u, v) in enumerate(edges):
-            b[u, k] = b[v, k] = 1.0
-        return b
-
-    def grad_of(self, fn, value, inc, w):
-        tape = Tape()
-        x = tape.watch(value)
-        out = fn(x, inc)
-        loss = ad.matmul(ad.matmul(ad.constant(np.ones((1, out.shape[0]))),
-                                   ad.mul(out, ad.constant(w))),
-                         ad.constant(np.ones((out.shape[1], 1))))
-        tape.backward(loss)
-        return out.data, tape.grad(x)
-
     @pytest.mark.parametrize("edges", [EDGES, EDGES[:0]], ids=["graph", "no edges"])
     def test_values_and_gradients_match_dense_incidence(self, rng, edges):
         inc = ad.Incidence(edges, self.V, self.D)
-        b = self.dense(edges)
-        x = rng.standard_normal((len(edges), self.D))
-        w_nodes = rng.standard_normal((self.V, self.D))
-        out, grad = self.grad_of(ad.incident_sum, x, inc, w_nodes)
-        assert out.dtype == np.float64 and out.shape == (self.V, self.D)
-        assert np.abs(out - b @ x).max(initial=0) < 1e-12
-        assert np.abs(grad - b.T @ w_nodes).max(initial=0) < 1e-12
-        y = rng.standard_normal((self.V, self.D))
-        w_edges = rng.standard_normal((len(edges), self.D))
-        out, grad = self.grad_of(ad.endpoint_sum, y, inc, w_edges)
-        assert out.shape == (len(edges), self.D)
-        assert np.abs(out - b.T @ y).max(initial=0) < 1e-12
-        assert np.abs(grad - b @ w_edges).max(initial=0) < 1e-12
-        assert np.array_equal(inc.degree, b.sum(axis=1))
+        for line in (False, True):
+            rows, cols = (len(edges), self.V) if line else (self.V, len(edges))
+            h = rng.standard_normal((rows, self.D))
+            attr = rng.standard_normal((cols, self.D))
+            loop, w1, b1, w2, b2 = (rng.standard_normal(s) for s in
+                                    ((1, self.D), (self.D, 8), (1, 8), (8, self.D), (1, self.D)))
+            adj, attr_map = dense_neighbour_maps(edges, self.V, line)
+            pre1 = (h + adj @ h + attr_map @ attr + loop) @ w1 + b1
+            pre2 = np.maximum(pre1, 0.0) @ w2 + b2
+            tape = Tape()
+            h_t, attr_t = tape.watch(h), tape.watch(attr)
+            out = ad.helix_layer(h_t, attr_t, inc, line, loop, w1, b1, w2, b2)
+            assert out.data.dtype == np.float64 and out.shape == (rows, self.D)
+            assert np.abs(out.data - np.maximum(pre2, 0.0)).max(initial=0) < 1e-12
+            w = rng.standard_normal(out.shape)
+            tape.backward(weighted_sum(out, w))
+            gx = ((w * (pre2 > 0)) @ w2.T * (pre1 > 0)) @ w1.T
+            assert np.abs(tape.grad(h_t) - (gx + adj.T @ gx)).max(initial=0) < 1e-12
+            assert np.abs(tape.grad(attr_t) - attr_map.T @ gx).max(initial=0) < 1e-12
+        assert np.array_equal(inc.degree, dense_incidence(edges, self.V).sum(axis=1))
 
     def test_adjoint_identity(self, rng):
+        # the kernels helix_layer reads: B and B^T are adjoint, A is symmetric
         inc = ad.Incidence(self.EDGES, self.V, self.D)
         x = rng.standard_normal((len(self.EDGES), self.D))
         y = rng.standard_normal((self.V, self.D))
-        left = (ad.incident_sum(ad.constant(x), inc).data * y).sum()
-        right = (x * ad.endpoint_sum(ad.constant(y), inc).data).sum()
-        assert abs(left - right) < 1e-12
+        y2 = rng.standard_normal((self.V, self.D))
+        assert abs((inc.into_nodes(x) * y).sum() - (x * inc.endpoints(y)).sum()) < 1e-12
+        assert abs((inc.adjacent(y) * y2).sum() - (y * inc.adjacent(y2)).sum()) < 1e-12
 
     @pytest.mark.parametrize("bad", [[0, 6], [-1, 2]])
     def test_endpoint_outside_nodes_rejected_at_construction(self, bad):
@@ -245,80 +267,93 @@ class TestIncidenceSums:
 
     def test_wrong_shaped_operand_rejected(self, rng):
         inc = ad.Incidence(self.EDGES, self.V, self.D)
-        with pytest.raises(ShapeMismatch, match="incident_sum"):
-            ad.incident_sum(ad.constant(rng.standard_normal((5, 3))), inc)  # width
-        with pytest.raises(ShapeMismatch, match="incident_sum"):
-            ad.incident_sum(ad.constant(rng.standard_normal((6, 4))), inc)  # rows
-        with pytest.raises(ShapeMismatch, match="endpoint_sum"):
-            ad.endpoint_sum(ad.constant(rng.standard_normal((5, 4))), inc)
+        mlp = [rng.standard_normal(s) for s in ((1, 4), (4, 8), (1, 8), (8, 4), (1, 4))]
+        nodes, edges = rng.standard_normal((6, 4)), rng.standard_normal((5, 4))
+        with pytest.raises(ShapeMismatch, match="helix_layer .graph rule"):
+            ad.helix_layer(edges, edges, inc, False, *mlp)  # h has edge rows
+        with pytest.raises(ShapeMismatch, match="helix_layer .line rule"):
+            ad.helix_layer(edges, edges, inc, True, *mlp)  # attr has edge rows
+        with pytest.raises(ShapeMismatch, match="helix_layer"):
+            ad.helix_layer(nodes[:, :3], edges[:, :3], ad.Incidence(self.EDGES, self.V, 3),
+                           False, *mlp)  # width 3 against width-4 weights
 
 
 class TestGinMlp:
-    """gin_mlp against the same update composed from add, matmul and relu."""
+    """helix_layer's GIN MLP and the tape node that records it."""
 
-    NAMES = ("h", "neighbours", "self_loop", "w1", "b1", "w2", "b2")
-    SHAPES = ((7, 4), (7, 4), (1, 4), (4, 8), (1, 8), (8, 4), (1, 4))
+    NAMES = ("h", "attr", "self_loop", "w1", "b1", "w2", "b2")
+    EDGES = np.array([[0, 1], [0, 2], [2, 3], [0, 3], [4, 5], [3, 5]])
+    SHAPES = ((7, 4), (6, 4), (1, 4), (4, 8), (1, 8), (8, 4), (1, 4))
 
-    @staticmethod
-    def generic(h, neighbours, self_loop, w1, b1, w2, b2):
-        x = ad.add(ad.add(h, neighbours), self_loop)
-        x = ad.relu(ad.add(ad.matmul(x, w1), b1))
-        return ad.relu(ad.add(ad.matmul(x, w2), b2))
-
-    def run(self, fn, arrays, weights):
-        tape = Tape()
-        ins = [tape.watch(a) for a in arrays]
-        out = fn(*ins)
-        loss = ad.matmul(ad.matmul(ad.constant(np.ones((1, out.shape[0]))),
-                                   ad.mul(out, ad.constant(weights))),
-                         ad.constant(np.ones((out.shape[1], 1))))
-        tape.backward(loss)
-        return out.data, [tape.grad(t) for t in ins]
-
-    def test_values_and_gradients_equal_the_composition_bitwise(self, rng):
-        arrays = [rng.standard_normal(s) for s in self.SHAPES]
-        h, neighbours, self_loop, w1, b1, w2, b2 = arrays
-        pre1 = (h + neighbours + self_loop) @ w1 + b1
-        pre2 = np.maximum(pre1, 0.0) @ w2 + b2
-        for pre in (pre1, pre2):  # units die and live in both halves
-            assert (pre < 0).any() and (pre > 0).any()
-        weights = rng.standard_normal((7, 4))
-        out, grads = self.run(ad.gin_mlp, arrays, weights)
-        want_out, want_grads = self.run(self.generic, arrays, weights)
-        assert np.array_equal(out, want_out)
-        for name, got, want in zip(self.NAMES, grads, want_grads):
-            assert np.array_equal(got, want), name
+    def inc(self):
+        return ad.Incidence(self.EDGES, 7, 4)  # node 6 meets no edge
 
     def test_one_tape_node_whose_backward_leaves_its_gradient_alone(self, rng):
-        tape = Tape()
-        out = ad.gin_mlp(*(tape.watch(rng.standard_normal(s)) for s in self.SHAPES))
-        assert len(tape._ops) == 1 and tape._ops[0].out_slot == out.slot
-        g = rng.standard_normal(out.shape)
-        kept = g.copy()
-        grads = tape._ops[0].backward(g)
-        assert np.array_equal(g, kept)
-        assert [x.shape for x in grads] == list(self.SHAPES)
+        for line in (False, True):
+            shapes = list(self.SHAPES)
+            if line:
+                shapes[0], shapes[1] = shapes[1], shapes[0]
+            arrays = [rng.standard_normal(s) for s in shapes]
+            tape = Tape()
+            out = ad.helix_layer(tape.watch(arrays[0]), tape.watch(arrays[1]), self.inc(),
+                                 line, *(tape.watch(a) for a in arrays[2:]))
+            assert len(tape._ops) == 1 and tape._ops[0].out_slot == out.slot
+            untaped = ad.helix_layer(arrays[0], arrays[1], self.inc(), line, *arrays[2:])
+            assert np.array_equal(out.data, untaped.data)
+            g = rng.standard_normal(out.shape)
+            kept = g.copy()
+            grads = tape._ops[0].backward(g)
+            assert np.array_equal(g, kept)
+            assert [x.shape for x in grads] == shapes
 
     @pytest.mark.parametrize("which", range(7), ids=NAMES)
     def test_bad_shape_rejected(self, rng, which):
         arrays = [rng.standard_normal(s) for s in self.SHAPES]
         rows, cols = self.SHAPES[which]
         arrays[which] = rng.standard_normal((rows + 1, cols))
-        with pytest.raises(ShapeMismatch, match="gin_mlp"):
-            ad.gin_mlp(*arrays)
+        with pytest.raises(ShapeMismatch, match="helix_layer"):
+            ad.helix_layer(arrays[0], arrays[1], self.inc(), False, *arrays[2:])
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_gradcheck_case_clears_the_relu_kink(self, seed):
-        _, arrays = _gin_mlp_case(np.random.default_rng(seed))
-        x = arrays["h"] + arrays["neighbours"] + arrays["self_loop"]
-        pre1 = x @ arrays["w1"] + arrays["b1"]
-        pre2 = np.maximum(pre1, 0.0) @ arrays["w2"] + arrays["b2"]
-        for pre in (pre1, pre2):
-            assert np.abs(pre).min() >= 1e-2
-            assert (pre < 0).any() and (pre > 0).any()
-        assert [r.passed for r in run_gradcheck(seed, components=["gin_mlp"])] == [True]
-        assert [r.passed for r in run_gradcheck(seed, components=["gin_mlp"],
-                                                inject_bug="gin_mlp")] == [False]
+        rng = np.random.default_rng(seed)
+        for line in (False, True):
+            _, a = _helix_layer_case(rng, line)
+            edges = np.stack([_INCIDENCE.u, _INCIDENCE.v], axis=1)
+            adj, attr_map = dense_neighbour_maps(edges, _INCIDENCE.num_nodes, line)
+            x = a["h"] + adj @ a["h"] + attr_map @ a["attr"] + a["self_loop"]
+            pre1 = x @ a["w1"] + a["b1"]
+            pre2 = np.maximum(pre1, 0.0) @ a["w2"] + a["b2"]
+            for pre in (pre1, pre2):
+                assert np.abs(pre).min() >= 1e-2
+                assert (pre < 0).any() and (pre > 0).any()
+        assert [r.passed for r in run_gradcheck(seed, components=["helix_layer"])] == [True]
+        assert [r.passed for r in run_gradcheck(seed, components=["helix_layer"],
+                                                inject_bug="helix_layer")] == [False]
+
+    def test_desk_step_records_one_node_per_layer_and_helix(self):
+        # 2 x depth helix_layer nodes: 53 tape nodes per training step and
+        # 22 primitive calls per embedding batch, down from 108 and 65 when
+        # the neighbour sums took five and six primitives of their own
+        cfg = desk_train_config()
+        graphs = [random_molecular_graph(i, (6, 24), 4) for i in range(cfg.batch_size)]
+        batch = Batch.build([(g, to_line_graph(g)) for g in graphs])
+        params = DualHelixParams.initialize(cfg.encoder, 0)
+        tape = Tape()
+        compute_step_losses(batch, encode_batch(batch, params.watched(tape), cfg.encoder),
+                            loss_config(cfg))
+        assert len(tape._ops) == 53
+        calls = []
+        apply = ad._apply
+
+        def counted(*args):
+            calls.append(args[0])
+            return apply(*args)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ad, "_apply", counted)
+            embed_batch(batch, params.as_constants(), cfg.encoder)
+        assert len(calls) == 22 and not any(calls)  # none of them taped
 
 
 def test_gradcheck_reports_the_margin_below_the_floor():

@@ -121,6 +121,16 @@ class TestPretrainCommand:
         assert "epoch=0 mean_total_loss=" in text
         assert '"encoder.hidden_dim": 16' in text  # banner echoes resolved config
 
+    def test_fresh_run_into_an_old_out_dir_starts_the_metrics_over(self, tmp_path):
+        corpus = write_corpus(tmp_path)
+        code, out_dir = self.run_pretrain(tmp_path, corpus)
+        assert code == 0
+        once = (out_dir / "metrics.jsonl").read_bytes()
+        code, _ = self.run_pretrain(tmp_path, corpus)
+        assert code == 0
+        assert (out_dir / "metrics.jsonl").read_bytes() == once
+        assert [r["step"] for r in read_metrics(out_dir)] == [0, 1, 2]
+
     def test_zero_weights_short_circuit_locals(self, tmp_path):
         corpus = write_corpus(tmp_path)
         code, out_dir = self.run_pretrain(tmp_path, corpus, "--alpha", "0", "--beta", "0")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linecontrast import encoder
-from linecontrast.autodiff import Tape, constant
+from linecontrast.autodiff import Incidence, Tape, constant
 from linecontrast.encoder import (
     DualHelixParams,
     EmptyGraph,
@@ -147,9 +147,9 @@ class TestGinLayer:
         params = params_for().watched(tape)
         added = []
 
-        def counted(h, neighbours, params, layer):
+        def counted(h, attr, inc, line, params, layer):
             before = len(tape._ops)
-            out = gin_layer(h, neighbours, params, layer)
+            out = gin_layer(h, attr, inc, line, params, layer)
             added.append(len(tape._ops) - before)
             return out
 
@@ -185,12 +185,21 @@ class TestGinLayer:
                         p.arrays["graph.embed.chirality"], d)
         e0 = embed_rows(g.edge_features, p.arrays["graph.layer0.edge.bond_type"],
                         p.arrays["graph.layer0.edge.bond_direction"], d)
-        neighbours = np.zeros_like(h0)
-        for k, (u, v) in enumerate(g.edges):
-            neighbours[u] += h0[v] + e0[k]
-            neighbours[v] += h0[u] + e0[k]
-        out = gin_layer(constant(h0), constant(neighbours), p.as_constants(), "graph.layer0")
+        inc = Incidence(g.edges, g.num_nodes, d)
+        out = gin_layer(constant(h0), constant(e0), inc, False, p.as_constants(),
+                        "graph.layer0")
         expected = gin_loop(g, h0, e0, p.arrays, "graph", 0)
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+        # the line rule on the same incidence matrix against the loop over
+        # the line graph's own arcs, each carrying its shared node's vector
+        view = to_line_graph(g)
+        l0 = embed_rows(g.edge_features, p.arrays["line.embed.bond_type"],
+                        p.arrays["line.embed.bond_direction"], d)
+        x0 = embed_rows(g.node_features, p.arrays["line.layer0.edge.atomic"],
+                        p.arrays["line.layer0.edge.chirality"], d)
+        out = gin_layer(constant(l0), constant(x0), inc, True, p.as_constants(), "line.layer0")
+        expected = gin_loop(view.graph, l0, x0[list(view.edge_origin)], p.arrays,
+                            "line", 0)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
 

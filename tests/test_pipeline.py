@@ -469,9 +469,10 @@ class TestEmbedCorpus:
         layers = []
         gin_layer = encoder.gin_layer
 
-        def counted(h, neighbours, params, layer):
+        def counted(h, attr, inc, line, params, layer):
             layers.append(layer)
-            return gin_layer(h, neighbours, params, layer)
+            assert line == layer.startswith("line.")
+            return gin_layer(h, attr, inc, line, params, layer)
 
         monkeypatch.setattr(encoder, "gin_layer", counted)
         cfg = replace(CFG, depth=depth, edge_fusion=fusion)
