@@ -288,6 +288,60 @@ class TestGinMlp:
     def inc(self):
         return ad.Incidence(self.EDGES, 7, 4)  # node 6 meets no edge
 
+    @staticmethod
+    def generic(h, nbr, self_loop, w1, b1, w2, b2):
+        x = ad.add(ad.add(h, nbr), self_loop)
+        x = ad.relu(ad.add(ad.matmul(x, w1), b1))
+        return ad.relu(ad.add(ad.matmul(x, w2), b2))
+
+    def test_values_and_gradients_equal_the_composition_bitwise(self, rng):
+        # helix_layer against the GIN update composed from add, matmul and
+        # relu, fed the neighbour sum the Incidence kernels form; the
+        # gradients of h and attr are the kernels' adjoints of the gradient
+        # the composition sends into that sum
+        inc = self.inc()
+        for line in (False, True):
+            shapes = list(self.SHAPES)
+            if line:
+                shapes[0], shapes[1] = shapes[1], shapes[0]
+            h, attr, self_loop, w1, b1, w2, b2 = (rng.standard_normal(s) for s in shapes)
+            if line:  # B^T (B h + (D - I) attr) - 2h
+                t = inc.into_nodes(h)
+                t += attr * (inc.degree[:, None] - 1.0)
+                nbr = inc.endpoints(t) - 2.0 * h
+            else:  # A h + B attr
+                nbr = inc.adjacent(h, attr)
+            pre1 = (h + nbr + self_loop) @ w1 + b1
+            pre2 = np.maximum(pre1, 0.0) @ w2 + b2
+            for pre in (pre1, pre2):  # units die and live in both halves
+                assert (pre < 0).any() and (pre > 0).any()
+            weights = rng.standard_normal(pre2.shape)
+
+            tape = Tape()
+            ins = [tape.watch(a) for a in (h, attr, self_loop, w1, b1, w2, b2)]
+            out = ad.helix_layer(ins[0], ins[1], inc, line, *ins[2:])
+            tape.backward(weighted_sum(out, weights))
+            grads = [tape.grad(t) for t in ins]
+
+            want_tape = Tape()
+            want_ins = [want_tape.watch(a) for a in (h, nbr, self_loop, w1, b1, w2, b2)]
+            want = self.generic(*want_ins)
+            want_tape.backward(weighted_sum(want, weights))
+            want_grads = [want_tape.grad(t) for t in want_ins]
+
+            assert np.array_equal(out.data, want.data)
+            for name, got, expected in zip(self.NAMES[2:], grads[2:], want_grads[2:]):
+                assert np.array_equal(got, expected), name
+            gx = want_grads[1]  # the gradient reaching the neighbour sum
+            assert np.array_equal(want_grads[0], gx)  # and the layer input
+            if line:
+                gt = inc.into_nodes(gx)
+                want_h, want_attr = inc.endpoints(gt) - gx, gt * (inc.degree[:, None] - 1.0)
+            else:
+                want_h, want_attr = gx + inc.adjacent(gx), inc.endpoints(gx)
+            assert np.array_equal(grads[0], want_h)
+            assert np.array_equal(grads[1], want_attr)
+
     def test_one_tape_node_whose_backward_leaves_its_gradient_alone(self, rng):
         for line in (False, True):
             shapes = list(self.SHAPES)
