@@ -10,7 +10,6 @@ from .graphs import (
     InvariantViolation,
     LineGraphView,
     MolecularGraph,
-    line_edge_count,
     make_graph,
     permute_nodes,
     to_line_graph,
@@ -36,7 +35,7 @@ __all__ = [
     "AdamState", "Tape", "Tensor", "adam_step",
     "BatchEncoding", "DualHelixParams", "EncoderConfig", "encode_batch",
     "EmptyEdgeSet", "InvariantViolation", "LineGraphView", "MolecularGraph",
-    "line_edge_count", "make_graph", "permute_nodes", "to_line_graph",
+    "make_graph", "permute_nodes", "to_line_graph",
     "LossConfig", "LossReport", "combine", "inter_local", "intra_local", "nt_xent",
     "Batch", "TrainConfig", "desk_train_config", "embed_corpus", "load_corpus",
     "full_train_config", "pretrain", "save_corpus", "transform_corpus",

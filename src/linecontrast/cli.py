@@ -1,10 +1,14 @@
 """Command-line surface: transform, pretrain, gradcheck, embed, bench.
 
 Exit codes: 0 success, 1 validation or check failure, 2 I/O or config
-error. Training options resolve as preset defaults, then config-file
-values, then explicit flags; every run banner echoes the fully resolved
-configuration. The LINECONTRAST_LOG environment variable (quiet, warning,
-info, debug) controls verbosity.
+error. Every TrainConfig field but `encoder`, and every EncoderConfig
+field, is one config-file key and one `pretrain` flag (the key with
+dashes); no other table lists them. Training options resolve as preset
+defaults, then config-file values, then explicit flags; a key repeated in
+a config file is a config error. Every run banner echoes the fully
+resolved configuration. The LINECONTRAST_LOG environment variable (quiet,
+warning, info, debug; any other value is a config error) controls
+verbosity.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -53,28 +58,19 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-# key -> (section, field, caster); sections route into TrainConfig vs EncoderConfig
+# key -> (section, caster), one per settable field, cast by its annotation
+_CASTERS = {int: int, float: float, bool: _parse_bool}
 _CONFIG_KEYS = {
-    "epochs": ("train", "epochs", int),
-    "batch_size": ("train", "batch_size", int),
-    "learning_rate": ("train", "learning_rate", float),
-    "seed": ("train", "seed", int),
-    "depth": ("encoder", "depth", int),
-    "hidden_dim": ("encoder", "hidden_dim", int),
-    "atomic_vocab": ("encoder", "atomic_vocab", int),
-    "chirality_vocab": ("encoder", "chirality_vocab", int),
-    "bond_type_vocab": ("encoder", "bond_type_vocab", int),
-    "bond_direction_vocab": ("encoder", "bond_direction_vocab", int),
-    "edge_fusion": ("encoder", "edge_fusion", _parse_bool),
-    "tau": ("encoder", "tau", float),
-    "alpha": ("encoder", "alpha", float),
-    "beta": ("encoder", "beta", float),
+    f.name: (section, _CASTERS[typing.get_type_hints(cls)[f.name]])
+    for section, cls in (("train", TrainConfig), ("encoder", EncoderConfig))
+    for f in dataclasses.fields(cls) if f.name != "encoder"
 }
 
 
 def read_kv_config(path) -> dict[str, str]:
     """Flat key=value file; blank lines and # comments allowed."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -86,29 +82,30 @@ def read_kv_config(path) -> dict[str, str]:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line "
+                                  f"{first_line[key]}")
             values[key] = value.strip()
+            first_line[key] = lineno
     return values
 
 
 def resolve_train_config(preset: str, file_values: dict[str, str],
                          flag_values: dict[str, object]) -> TrainConfig:
     base = desk_train_config() if preset == "desk" else full_train_config()
-    train_fields = dataclasses.asdict(base)
-    encoder_fields = train_fields.pop("encoder")
+    sections = {"train": dataclasses.asdict(base)}
+    sections["encoder"] = sections["train"].pop("encoder")
     for key, raw in file_values.items():
-        section, field_name, caster = _CONFIG_KEYS[key]
+        section, caster = _CONFIG_KEYS[key]
         try:
-            value = caster(raw)
-        except (ValueError, ConfigError) as err:
+            sections[section][key] = caster(raw)
+        except ValueError as err:  # ConfigError included
             raise ConfigError(f"config key {key}: {err}") from err
-        (train_fields if section == "train" else encoder_fields)[field_name] = value
     for key, value in flag_values.items():
-        if value is None:
-            continue
-        section, field_name, _ = _CONFIG_KEYS[key]
-        (train_fields if section == "train" else encoder_fields)[field_name] = value
+        if value is not None:
+            sections[_CONFIG_KEYS[key][0]][key] = value
     try:
-        return TrainConfig(encoder=EncoderConfig(**encoder_fields), **train_fields)
+        return TrainConfig(encoder=EncoderConfig(**sections["encoder"]), **sections["train"])
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -265,16 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="continue from the checkpoint in the output directory")
     p.add_argument("--preset", choices=("desk", "full"), default="desk")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--edge-fusion", dest="edge_fusion", type=_parse_bool)
+    for key, (_, caster) in _CONFIG_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=caster)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient validation")
@@ -312,9 +301,12 @@ _LOG_LEVELS = {
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("LINECONTRAST_LOG", "info").lower()
-    level = _LOG_LEVELS.get(level_name, logging.INFO)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    raw = os.environ.get("LINECONTRAST_LOG") or "info"
+    if raw.lower() not in _LOG_LEVELS:
+        raise ConfigError(f"LINECONTRAST_LOG must be one of {', '.join(_LOG_LEVELS)} "
+                          f"(any case), got {raw!r}")
+    logging.basicConfig(level=_LOG_LEVELS[raw.lower()],
+                        format="%(levelname)s %(name)s: %(message)s")
 
 
 _VALIDATION_ERRORS = (
@@ -324,10 +316,9 @@ _VALIDATION_ERRORS = (
 
 
 def main(argv=None) -> int:
-    _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _configure_logging()
         return args.func(args)
     except (ConfigError, ConfigMismatch, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

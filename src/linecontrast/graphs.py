@@ -100,13 +100,6 @@ class MolecularGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.num_nodes
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
 
 def make_graph(node_features, edges, edge_features) -> MolecularGraph:
     """Build a validated MolecularGraph from plain sequences."""
@@ -130,11 +123,6 @@ class LineGraphView:
     graph: MolecularGraph
     node_origin: tuple[int, ...]
     edge_origin: tuple[int, ...]
-
-
-def line_edge_count(g: MolecularGraph) -> int:
-    """Number of line-graph edges: sum over nodes of deg*(deg-1)/2."""
-    return sum(d * (d - 1) // 2 for d in g.degrees())
 
 
 def to_line_graph(g: MolecularGraph) -> LineGraphView:

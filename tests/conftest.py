@@ -40,6 +40,19 @@ def single_edge() -> MolecularGraph:
     return make_graph([[3, 1], [5, 0]], [(0, 1)], [[2, 1]])
 
 
+def degrees(g: MolecularGraph) -> list[int]:
+    deg = [0] * g.num_nodes
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def line_edge_count(g: MolecularGraph) -> int:
+    """Number of line-graph edges: sum over nodes of deg*(deg-1)/2."""
+    return sum(d * (d - 1) // 2 for d in degrees(g))
+
+
 def bruteforce_line_edges(g: MolecularGraph) -> set[tuple[int, int, int]]:
     """Independent O(|E|^2) oracle: every pair of edges sharing a node,
     as (i, j, shared node) with i < j."""

@@ -1,20 +1,15 @@
-import argparse
 import dataclasses
 import json
+import re
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from linecontrast.autodiff import AdamState
-from linecontrast.cli import (
-    _CONFIG_KEYS,
-    build_parser,
-    main,
-    read_kv_config,
-    resolve_train_config,
-)
+from linecontrast.cli import main, read_kv_config, resolve_train_config
 from linecontrast.encoder import DualHelixParams, EncoderConfig
 from linecontrast.pipeline import (
     PretrainResult,
@@ -39,6 +34,33 @@ def read_metrics(out_dir):
     Infinity in any line fails the read."""
     return [json.loads(line, parse_constant=_refuse_constant)
             for line in (out_dir / "metrics.jsonl").read_text().splitlines()]
+
+
+# the settings: every TrainConfig field but `encoder`, then every
+# EncoderConfig field, as (dataclass, field name)
+SETTING_FIELDS = [(cls, f.name) for cls in (TrainConfig, EncoderConfig)
+                  for f in dataclasses.fields(cls) if f.name != "encoder"]
+
+# per setting, a config-file value that differs from the desk preset and a
+# flag value that differs from the file's, as JSON text
+SETTING_VALUES = {
+    "epochs": ("3", "4"), "batch_size": ("6", "8"), "learning_rate": ("0.25", "0.5"),
+    "seed": ("7", "9"), "depth": ("2", "3"), "hidden_dim": ("8", "12"),
+    "atomic_vocab": ("7", "6"), "chirality_vocab": ("5", "6"),
+    "bond_type_vocab": ("6", "7"), "bond_direction_vocab": ("4", "5"),
+    "edge_fusion": ("false", "true"), "tau": ("0.5", "0.25"), "alpha": ("0.5", "0.75"),
+    "beta": ("0.5", "0.75"),
+}
+
+
+def pretrain_banner(tmp_path, capsys, *extra) -> dict:
+    """The resolved configuration `pretrain` echoes for `extra`; the corpus
+    does not exist, so the run stops with exit 2 right after its banner."""
+    code = main(["pretrain", "--corpus", str(tmp_path / "missing.jsonl"),
+                 "--out", str(tmp_path / "run"), *extra])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 2 and len(out) == 1, out
+    return json.loads(out[0].removeprefix("[pretrain] config: "))
 
 
 def write_corpus(tmp_path, n=12, seed=0, name="corpus.jsonl"):
@@ -267,9 +289,10 @@ class TestPretrainCommand:
         ([], "inclusive_denominator=true\n", "unknown key 'inclusive_denominator'"),
         ([], "shuffle=false\n", "unknown key 'shuffle'"),
         ([], "readout=mean\n", "unknown key 'readout'"),
+        ([], "epochs=1\n# again\nepochs=2\n", "run.cfg:3: key 'epochs' repeats line 1"),
     ], ids=["alpha nan", "tau inf", "beta inf", "learning rate inf", "seed negative",
             "config tau nan", "config seed negative", "config inclusive_denominator",
-            "config shuffle", "config readout"])
+            "config shuffle", "config readout", "config key repeated"])
     def test_bad_setting_exits_2_before_any_output(self, tmp_path, capsys, flags, config,
                                                     names):
         corpus = write_corpus(tmp_path, n=8)
@@ -515,21 +538,50 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_train_config("desk", read_kv_config(cfg_file), {})
 
-    def test_pretrain_flags_and_config_keys_agree(self):
-        # cmd_pretrain reads its flags through _CONFIG_KEYS, so a setting
-        # flag missing there, or cast differently, would be dropped or differ
-        # from the same setting in a config file
-        subparsers = next(a for a in build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        flags = {a.dest: a.type for a in subparsers.choices["pretrain"]._actions
-                 if a.dest not in ("help", "corpus", "config", "out", "resume", "preset")}
-        assert flags
-        for dest, caster in flags.items():
-            assert dest in _CONFIG_KEYS and _CONFIG_KEYS[dest][2] is caster, dest
-        fields = {"train": {f.name for f in dataclasses.fields(TrainConfig)} - {"encoder"},
-                  "encoder": {f.name for f in dataclasses.fields(EncoderConfig)}}
-        for key, (section, name, _) in _CONFIG_KEYS.items():
-            assert name in fields[section], key
+    @pytest.mark.parametrize("cls, name", SETTING_FIELDS,
+                             ids=[name for _, name in SETTING_FIELDS])
+    def test_each_field_is_a_config_key_and_a_flag(self, tmp_path, capsys, cls, name):
+        file_text, flag_text = SETTING_VALUES[name]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{name}={file_text}\n")
+        flag = "--" + name.replace("_", "-")
+        banner_key = name if cls is TrainConfig else f"encoder.{name}"
+        kind = typing.get_type_hints(cls)[name]
+        desk = resolve_train_config("desk", {}, {})
+        preset = getattr(desk if cls is TrainConfig else desk.encoder, name)
+        assert preset != json.loads(file_text) != json.loads(flag_text)
+        for extra, expected in (([], preset),
+                                (["--config", str(cfg_file)], json.loads(file_text)),
+                                (["--config", str(cfg_file), flag, flag_text],
+                                 json.loads(flag_text))):
+            resolved = pretrain_banner(tmp_path, capsys, *extra)[banner_key]
+            assert resolved == expected and type(resolved) is kind, extra
+
+    def test_help_lists_one_flag_per_field(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["pretrain", "--help"])
+        assert exited.value.code == 0
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+        settings = [flag for flag in listed
+                    if flag not in ("--help", "--corpus", "--config", "--out", "--resume",
+                                    "--preset")]
+        assert sorted(settings) == sorted("--" + name.replace("_", "-")
+                                          for _, name in SETTING_FIELDS)
+
+    def test_atomic_vocab_flag_reaches_the_encoder(self, tmp_path, capsys):
+        # graphs whose atom indices all lie below 6
+        path = tmp_path / "corpus.jsonl"
+        save_corpus([random_molecular_graph(i, (5, 10), 4, (6, 4, 5, 3)) for i in range(8)],
+                    path)
+        out_dir = tmp_path / "run"
+        assert main(["pretrain", "--corpus", str(path), "--out", str(out_dir),
+                     "--epochs", "1", "--batch-size", "4", "--hidden-dim", "8", "--depth", "2",
+                     "--atomic-vocab", "6"]) == 0
+        banner = capsys.readouterr().out.splitlines()[0]
+        assert json.loads(banner.removeprefix("[pretrain] config: "))["encoder.atomic_vocab"] == 6
+        params = load_training_checkpoint(out_dir / "checkpoint.bin").params
+        assert params.config.atomic_vocab == 6
+        assert params.arrays["graph.embed.atomic"].shape[0] == 6
 
     def test_shuffle_flag_is_unrecognized(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, n=8)
@@ -538,6 +590,28 @@ class TestConfigResolution:
                   "--shuffle", "false"])
         assert exited.value.code == 2
         assert "unrecognized arguments: --shuffle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["loud", "info ", "0"])
+    def test_unknown_verbosity_env_exits_2_before_any_output(self, tmp_path, monkeypatch,
+                                                             capsys, value):
+        monkeypatch.setenv("LINECONTRAST_LOG", value)
+        src = tmp_path / "empty.jsonl"
+        src.write_text("")
+        out = tmp_path / "o"
+        assert main(["transform", "--in", str(src), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: LINECONTRAST_LOG")
+        assert all(level in err[0] for level in ("quiet", "warning", "info", "debug"))
+        assert repr(value) in err[0]
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("value", ["Quiet", "DEBUG", ""])  # empty means unset
+    def test_verbosity_env_ignores_case(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("LINECONTRAST_LOG", value)
+        src = tmp_path / "empty.jsonl"
+        src.write_text("")
+        assert main(["transform", "--in", str(src), "--out", str(tmp_path / "o")]) == 0
 
     def test_verbosity_env_is_honored(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LINECONTRAST_LOG", "quiet")

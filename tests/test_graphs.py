@@ -9,14 +9,14 @@ from linecontrast.graphs import (
     MolecularGraph,
     graph_from_record,
     graph_to_record,
-    line_edge_count,
     make_graph,
     permute_nodes,
     to_line_graph,
 )
 from linecontrast.synth import random_molecular_graph
 
-from conftest import bruteforce_line_edges, path3, single_edge, star, triangle
+from conftest import (bruteforce_line_edges, degrees, line_edge_count, path3, single_edge,
+                      star, triangle)
 
 
 class TestMolecularGraphInvariants:
@@ -24,7 +24,7 @@ class TestMolecularGraphInvariants:
         g = triangle()
         assert g.num_nodes == 3
         assert g.num_edges == 3
-        assert g.degrees() == [2, 2, 2]
+        assert degrees(g) == [2, 2, 2]
 
     def test_endpoint_out_of_range(self):
         with pytest.raises(InvariantViolation, match="outside"):

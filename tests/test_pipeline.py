@@ -33,8 +33,8 @@ from linecontrast.pipeline import (
 )
 from linecontrast.synth import make_hard_negative_pair, random_molecular_graph
 
-from conftest import (NON_INTEGER_RECORDS, path3, read_checkpoint_tables, single_edge, star,
-                      triangle, write_checkpoint_tables)
+from conftest import (NON_INTEGER_RECORDS, line_edge_count, path3, read_checkpoint_tables,
+                      single_edge, star, triangle, write_checkpoint_tables)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -170,7 +170,6 @@ class TestTransformCorpus:
         assert transform_call_count() == before + 1
 
     def test_line_edge_totals_match_counting_formula(self):
-        from linecontrast.graphs import line_edge_count
         corpus = [random_molecular_graph(i, (4, 18), 4) for i in range(2000)]
         pairs = transform_corpus(corpus)
         total = sum(view.graph.num_edges for _, view in pairs)

@@ -8,6 +8,8 @@ from linecontrast.synth import (
 )
 from linecontrast.wl import wl_hash
 
+from conftest import degrees
+
 
 def _is_connected(g):
     adj = [[] for _ in range(g.num_nodes)]
@@ -35,14 +37,14 @@ class TestRandomMolecularGraph:
         for seed in range(300):
             g = random_molecular_graph(seed, (2, 25), 4)
             assert 2 <= g.num_nodes <= 25
-            assert max(g.degrees()) <= 4
+            assert max(degrees(g)) <= 4
             assert _is_connected(g)
 
     def test_degree_cap_holds_over_many_samples(self):
         worst = 0
         for seed in range(10_000):
             g = random_molecular_graph(seed, (4, 12), 4)
-            worst = max(worst, max(g.degrees()))
+            worst = max(worst, max(degrees(g)))
         assert worst <= 4
 
     def test_features_respect_vocab(self):
