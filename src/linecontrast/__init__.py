@@ -14,7 +14,7 @@ from .graphs import (
     permute_nodes,
     to_line_graph,
 )
-from .losses import LossConfig, LossReport, combine, inter_local, intra_local, nt_xent
+from .losses import LossReport, combine, inter_local, intra_local, nt_xent
 from .pipeline import (
     Batch,
     TrainConfig,
@@ -36,7 +36,7 @@ __all__ = [
     "BatchEncoding", "DualHelixParams", "EncoderConfig", "encode_batch",
     "EmptyEdgeSet", "InvariantViolation", "LineGraphView", "MolecularGraph",
     "make_graph", "permute_nodes", "to_line_graph",
-    "LossConfig", "LossReport", "combine", "inter_local", "intra_local", "nt_xent",
+    "LossReport", "combine", "inter_local", "intra_local", "nt_xent",
     "Batch", "TrainConfig", "desk_train_config", "embed_corpus", "load_corpus",
     "full_train_config", "pretrain", "save_corpus", "transform_corpus",
     "make_hard_negative_pair", "random_molecular_graph",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import AdamState
 from .encoder import DualHelixParams, EncoderConfig
-from .pipeline import Batch, TrainConfig, loss_config, train_step, transform_call_count, transform_corpus
+from .pipeline import Batch, TrainConfig, train_step, transform_call_count, transform_corpus
 from .synth import random_molecular_graph
 
 
@@ -103,14 +103,13 @@ def bench_train_step(n_graphs: int = 48, batch_size: int = 16, steps: int = 4,
 
     params = DualHelixParams.initialize(cfg.encoder, seed)
     opt = AdamState.for_params(params.arrays, learning_rate=cfg.learning_rate)
-    lcfg = loss_config(cfg)
     rng = np.random.default_rng(seed)
     report = TrainStepBenchReport(steps=steps, transform_calls=transform_calls,
                                   transform_seconds=transform_seconds)
     for _ in range(steps):
         pick = rng.choice(len(pairs), size=batch_size, replace=False)
         batch = Batch.build([pairs[i] for i in pick])
-        _, (forward_s, backward_s, adam_s) = train_step(params, opt, batch, lcfg)
+        _, (forward_s, backward_s, adam_s) = train_step(params, opt, batch)
         report.forward_seconds.append(forward_s)
         report.backward_seconds.append(backward_s)
         report.optimizer_seconds.append(adam_s)

@@ -55,7 +55,9 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    # argparse prints this message as it is after the flag's name; a
+    # config-file value gets it inside a ConfigError naming the key
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
 # key -> (section, caster), one per settable field, cast by its annotation
@@ -68,12 +70,15 @@ _CONFIG_KEYS = {
 
 
 def read_kv_config(path) -> dict[str, str]:
-    """Flat key=value file; blank lines and # comments allowed."""
+    """Flat UTF-8 key=value file; blank lines and # comments allowed."""
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as err:
+                raise ConfigError(f"{path}:{lineno}: {err}") from err
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
@@ -99,7 +104,7 @@ def resolve_train_config(preset: str, file_values: dict[str, str],
         section, caster = _CONFIG_KEYS[key]
         try:
             sections[section][key] = caster(raw)
-        except ValueError as err:  # ConfigError included
+        except (ValueError, argparse.ArgumentTypeError) as err:
             raise ConfigError(f"config key {key}: {err}") from err
     for key, value in flag_values.items():
         if value is not None:

@@ -32,7 +32,7 @@ readout; with fusion off, it runs no line layer at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .autodiff import (
     relu,
     scatter_add_rows,
 )
-from .losses import LossConfig
 
 
 class VocabOutOfRange(ValueError):
@@ -67,7 +66,9 @@ class EmptyGraph(ValueError):
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Encoder hyper-parameters; tau / alpha / beta ride along for the losses.
+    """Encoder hyper-parameters and the loss settings, held nowhere else:
+    the temperature tau of all three losses, and the weights alpha of the
+    cross-graph and beta of the within-graph local loss.
 
     Defaults are desk scale. The reference scale uses hidden_dim=300 and
     batch 256; see pipeline.full_train_config().
@@ -93,7 +94,13 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be an int of at least {minimum}, got {value!r}")
         if type(self.edge_fusion) is not bool:
             raise ValueError(f"edge_fusion must be a bool, got {self.edge_fusion!r}")
-        LossConfig(tau=self.tau, alpha=self.alpha, beta=self.beta)  # the losses' own checks
+        # the comparisons are False for NaN, so NaN fails them too
+        if not 0 < self.tau < inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not 0 <= value < inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
 
     @property
     def vocab(self) -> tuple[int, int, int, int]:

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .encoder import DualHelixParams, EncoderConfig, encode_batch
 from .graphs import to_line_graph
-from .losses import LossConfig, inter_local, intra_local, nt_xent
+from .losses import inter_local, intra_local, nt_xent
 from .pipeline import Batch, compute_step_losses
 from .synth import random_molecular_graph
 
@@ -238,7 +238,7 @@ def _objective_case(seed: int, edge_fusion: bool = True) -> Case:
     params = DualHelixParams.initialize(cfg, seed)
 
     def build(tensors: dict[str, Tensor]) -> Tensor:
-        return compute_step_losses(batch, encode_batch(batch, tensors, cfg), LossConfig())[0]
+        return compute_step_losses(batch, encode_batch(batch, tensors, cfg), cfg)[0]
 
     return build, params.arrays
 

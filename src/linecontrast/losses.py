@@ -11,8 +11,8 @@ independent of batch size.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,27 +27,14 @@ from .autodiff import (
     scale,
 )
 
+if TYPE_CHECKING:
+    from .encoder import EncoderConfig
+
 cosine_sim = None  # perfbench/hooks.py patches losses.cosine_sim by name; nothing calls it
 
 
 class BatchTooSmall(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    tau: float = 0.1
-    alpha: float = 1.0  # weight of the cross-graph local loss
-    beta: float = 1.0   # weight of the within-graph local loss
-
-    def __post_init__(self):
-        # the comparisons are False for NaN, so NaN fails them too
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,9 +48,6 @@ class LossReport:
     graph_anchors: int
     intra_anchors: int
     inter_anchors: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def nt_xent(z1: Tensor, z2: Tensor, tau: float) -> tuple[Tensor, int]:
@@ -122,7 +106,7 @@ def inter_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
     return scale(total, 1.0 / k), k
 
 
-def combine(l_graph: float, l_intra: float, l_inter: float, cfg: LossConfig,
+def combine(l_graph: float, l_intra: float, l_inter: float, cfg: EncoderConfig,
             counts: tuple[int, int, int] = (0, 0, 0)) -> LossReport:
     """Weighted total: graph loss + alpha * cross-graph + beta * within-graph.
     A large weight can overflow the total of finite losses, so it is checked

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -37,7 +37,7 @@ from .graphs import (
     graph_to_record,
     to_line_graph,
 )
-from .losses import LossConfig, LossReport, NonFinite, combine, inter_local, intra_local, nt_xent
+from .losses import LossReport, NonFinite, combine, inter_local, intra_local, nt_xent
 
 log = logging.getLogger("linecontrast")
 
@@ -69,7 +69,6 @@ class Batch:
     encoder derives it there.
     """
 
-    n_graphs: int
     node_feat: np.ndarray      # sum(V) x 2 int
     edges: np.ndarray          # sum(E) x 2 global node ids
     edge_feat: np.ndarray      # sum(E) x 2 int
@@ -119,7 +118,6 @@ class Batch:
         edges = _pair_rows(edges)
         edges += np.repeat(node_off[:-1], edge_counts)[:, None]
         return cls(
-            n_graphs=len(pairs),
             node_feat=_pair_rows(node_feat),
             edges=edges,
             edge_feat=_pair_rows(edge_feat),
@@ -160,28 +158,25 @@ def full_train_config(**overrides) -> TrainConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def loss_config(cfg: TrainConfig) -> LossConfig:
-    enc = cfg.encoder
-    return LossConfig(tau=enc.tau, alpha=enc.alpha, beta=enc.beta)
-
-
 # --- corpus I/O ---------------------------------------------------------------
 
 def load_corpus(path) -> list[MolecularGraph]:
-    """Read a JSONL corpus; malformed lines raise with their line number.
+    """Read a JSONL corpus; malformed lines, invalid UTF-8 included, raise
+    with their line number.
 
     Graphs without edges carry no contrastive signal; they are skipped and
     the count is reported through the logger.
     """
     graphs: list[MolecularGraph] = []
     zero_edge = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 record = json.loads(line)
-            except json.JSONDecodeError as err:
+            except (UnicodeDecodeError, json.JSONDecodeError) as err:
                 raise ParseError(f"line {lineno}: {err}") from err
             try:
                 g = graph_from_record(record)
@@ -221,46 +216,49 @@ class PretrainResult:
     epoch_means: dict[int, float] = field(default_factory=dict)  # epoch -> mean l_total
 
 
-def compute_step_losses(batch: Batch, enc: BatchEncoding, lcfg: LossConfig):
-    """Tape-level losses for one batch with zero-weight short-circuiting.
+def compute_step_losses(batch: Batch, enc: BatchEncoding, cfg: EncoderConfig):
+    """Tape-level losses for one batch at cfg's tau, alpha and beta, with
+    zero-weight short-circuiting.
 
     Returns (total tensor, report floats). Losses whose weight is zero are
     skipped entirely and reported as exact zeros. The report is checked
     before the weighted total goes on the tape, so a total that overflows
     raises NonFinite without a numpy warning.
     """
-    l_graph, n_graph = nt_xent(enc.z_graph, enc.z_line, lcfg.tau)
+    l_graph, n_graph = nt_xent(enc.z_graph, enc.z_line, cfg.tau)
     l_inter, n_inter = None, 0
-    if lcfg.alpha > 0:
+    if cfg.alpha > 0:
         l_inter, n_inter = inter_local(enc.edge_pair, enc.line_node_embeddings,
-                                       batch.edge_offsets, lcfg.tau)
+                                       batch.edge_offsets, cfg.tau)
     l_intra, n_intra = None, 0
-    if lcfg.beta > 0:
+    if cfg.beta > 0:
         l_intra, n_intra = intra_local(enc.edge_pair, enc.line_node_embeddings,
-                                       batch.edge_offsets, lcfg.tau)
+                                       batch.edge_offsets, cfg.tau)
     report = combine(l_graph.item(), 0.0 if l_intra is None else l_intra.item(),
-                     0.0 if l_inter is None else l_inter.item(), lcfg,
+                     0.0 if l_inter is None else l_inter.item(), cfg,
                      counts=(n_graph, n_intra, n_inter))
     total = l_graph
-    for loss, weight in ((l_inter, lcfg.alpha), (l_intra, lcfg.beta)):
+    for loss, weight in ((l_inter, cfg.alpha), (l_intra, cfg.beta)):
         if loss is not None:
             total = add(total, scale(loss, weight))
     return total, report
 
 
-def train_step(params: DualHelixParams, opt: AdamState, batch: Batch,
-               lcfg: LossConfig) -> tuple[LossReport, tuple[float, float, float]]:
-    """One optimisation step on one batch, on its own tape: encode, weighted
-    losses, backward, the gradients gathered into `opt.grad` by one
-    concatenate, and an in-place Adam update of `params.flat` (so of every
-    view in `params.arrays`) and `opt`'s flat moments.
+def train_step(params: DualHelixParams, opt: AdamState,
+               batch: Batch) -> tuple[LossReport, tuple[float, float, float]]:
+    """One optimisation step on one batch, on its own tape: encode, the
+    losses at params.config's tau, alpha and beta, backward, the gradients
+    gathered into `opt.grad` by one concatenate, and an in-place Adam
+    update of `params.flat` (so of every view in `params.arrays`) and
+    `opt`'s flat moments.
 
     Returns the step's LossReport and its (forward, backward, Adam) seconds.
     """
     start = time.perf_counter()
     tape = Tape()
     tensors = params.watched(tape)
-    total, report = compute_step_losses(batch, encode_batch(batch, tensors, params.config), lcfg)
+    total, report = compute_step_losses(batch, encode_batch(batch, tensors, params.config),
+                                        params.config)
     forward_end = time.perf_counter()
     tape.backward(total)
     grads = opt.layout.pack({name: tape.grad(t) for name, t in tensors.items()}, out=opt.grad)
@@ -283,7 +281,6 @@ def pretrain(corpus, cfg: TrainConfig, *, metrics_path=None,
     if len(corpus) < cfg.batch_size:
         raise ValueError(f"corpus has {len(corpus)} graphs, batch needs {cfg.batch_size}")
     pairs = transform_corpus(corpus)
-    lcfg = loss_config(cfg)
     if init is None:
         params = DualHelixParams.initialize(cfg.encoder, cfg.seed)
         opt = AdamState.for_params(params.arrays, learning_rate=cfg.learning_rate)
@@ -312,12 +309,12 @@ def pretrain(corpus, cfg: TrainConfig, *, metrics_path=None,
                 chunk = [pairs[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
                 batch = Batch.build(chunk)
                 try:
-                    report, _ = train_step(params, opt, batch, lcfg)
+                    report, _ = train_step(params, opt, batch)
                 except (NonFinite, ZeroNormRow) as err:
                     raise type(err)(f"step {step}: {err}") from err
                 reports.append(report)
                 if metrics_fh is not None:
-                    row = {"step": step, "epoch": epoch, **report.to_json_dict()}
+                    row = {"step": step, "epoch": epoch, **asdict(report)}
                     metrics_fh.write(json.dumps(row, separators=(",", ":")) + "\n")
                 step += 1
             epoch_means[epoch] = float(np.mean([r.l_total for r in reports[-n_batches:]]))

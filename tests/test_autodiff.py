@@ -19,7 +19,7 @@ from linecontrast.gradcheck import (
     run_gradcheck,
 )
 from linecontrast.graphs import to_line_graph
-from linecontrast.pipeline import Batch, compute_step_losses, desk_train_config, loss_config
+from linecontrast.pipeline import Batch, compute_step_losses, desk_train_config
 from linecontrast.synth import random_molecular_graph
 
 
@@ -395,7 +395,7 @@ class TestGinMlp:
         params = DualHelixParams.initialize(cfg.encoder, 0)
         tape = Tape()
         compute_step_losses(batch, encode_batch(batch, params.watched(tape), cfg.encoder),
-                            loss_config(cfg))
+                            cfg.encoder)
         assert len(tape._ops) == 53
         calls = []
         apply = ad._apply

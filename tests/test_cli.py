@@ -119,6 +119,15 @@ class TestTransformCommand:
         assert main(["transform", "--in", str(src), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: line 2: {message}"]
 
+    def test_non_utf8_line_exits_1_with_one_line(self, tmp_path, capsys):
+        src = tmp_path / "bad.jsonl"
+        src.write_bytes(b'{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,0]]}\n'
+                        b'{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,\xff]]}\n')
+        assert main(["transform", "--in", str(src), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: line 2: 'utf-8' codec can't decode byte 0xff in position 39: "
+            "invalid start byte"]
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["transform", "--in", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o")]) == 2
@@ -307,6 +316,35 @@ class TestPretrainCommand:
         assert len(err) == 1 and err[0].startswith("error: ") and names in err[0]
         assert captured.out == ""  # no banner
         assert not out_dir.exists()
+
+    def test_non_utf8_config_exits_2_before_any_output(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, n=8)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"epochs=1\nbatch_size=\xff4\n")
+        out_dir = tmp_path / "run"
+        code = main(["pretrain", "--corpus", str(corpus), "--config", str(cfg),
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            f"error: {cfg}:2: 'utf-8' codec can't decode byte 0xff in position 11: "
+            "invalid start byte"]
+        assert captured.out == ""  # no banner
+        assert not out_dir.exists()
+
+    def test_bad_boolean_names_the_value_by_flag_and_by_config(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, n=8)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("edge_fusion=maybe\n")
+        base = ["pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "run")]
+        assert main([*base, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config key edge_fusion: expected a boolean, got 'maybe'"]
+        with pytest.raises(SystemExit) as exited:
+            main([*base, "--edge-fusion", "maybe"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --edge-fusion: expected a boolean, got 'maybe'")
 
     def test_overflowing_weighted_total_names_the_step(self, tmp_path, capsys):
         # finite losses, but alpha * l_inter overflows to an infinite total

@@ -22,7 +22,6 @@ from linecontrast.pipeline import (
     embed_corpus,
     load_corpus,
     load_training_checkpoint,
-    loss_config,
     full_train_config,
     pretrain,
     save_corpus,
@@ -56,7 +55,7 @@ class TestBatch:
     def test_offsets_partition_rows(self):
         graphs = small_corpus(3)
         batch = Batch.build([(g, to_line_graph(g)) for g in graphs])
-        assert batch.n_graphs == 3
+        assert len(batch.node_offsets) - 1 == 3
         assert batch.num_nodes == sum(g.num_nodes for g in graphs)
         assert batch.num_edges == sum(g.num_edges for g in graphs)
         assert batch.node_offsets[0] == 0 and batch.node_offsets[-1] == batch.num_nodes
@@ -224,12 +223,11 @@ class TestPretrain:
     def test_batch_order_invariance_at_step_zero(self, rng):
         graphs = small_corpus(6, seed=50)
         params = DualHelixParams.initialize(CFG, 0)
-        lcfg = loss_config(tiny_train_config())
         values = []
         for order in (list(range(6)), [3, 1, 5, 0, 4, 2]):
             batch = Batch.build([(graphs[i], to_line_graph(graphs[i])) for i in order])
             enc = encode_batch(batch, params.as_constants(), CFG)
-            _, report = compute_step_losses(batch, enc, lcfg)
+            _, report = compute_step_losses(batch, enc, CFG)
             values.append(report)
         assert values[0].l_graph == pytest.approx(values[1].l_graph, abs=1e-10)
         assert values[0].l_intra == pytest.approx(values[1].l_intra, abs=1e-10)
@@ -274,8 +272,7 @@ class TestTrainStep:
         pairs = transform_corpus(corpus)
         # epoch 0's batch, in the order pretrain draws it
         order = np.random.default_rng([cfg.seed, 0]).permutation(4)
-        report, seconds = train_step(params, opt, Batch.build([pairs[i] for i in order]),
-                                     loss_config(cfg))
+        report, seconds = train_step(params, opt, Batch.build([pairs[i] for i in order]))
         assert result.reports == [report]
         assert len(seconds) == 3 and min(seconds) >= 0
         assert opt.step == result.optimizer.step == 1
@@ -393,8 +390,7 @@ class TestFlatBuffers:
         views = dict(params.arrays)
         before = {k: a.copy() for k, a in views.items()}
         opt = AdamState.for_params(params.arrays)
-        train_step(params, opt, Batch.build(transform_corpus(corpus)),
-                   loss_config(tiny_train_config()))
+        train_step(params, opt, Batch.build(transform_corpus(corpus)))
         assert all(params.arrays[k] is views[k] for k in views)
         assert all(not np.array_equal(views[k], before[k]) for k in views)
         assert_flat(params, opt)
