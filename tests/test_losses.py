@@ -435,6 +435,20 @@ class TestGradients:
         assert np.abs(tape.grad(z2)).sum() > 0
 
 
+class TestLossConfig:
+    def test_rejects_bad_values(self):
+        # the loss settings combine reads live on EncoderConfig: tau
+        # positive, alpha and beta non-negative, all finite
+        with pytest.raises(ValueError):
+            EncoderConfig(tau=0.0)
+        with pytest.raises(ValueError):
+            EncoderConfig(alpha=-1.0)
+        for name in ("tau", "alpha", "beta"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be .* finite, got {value}$"):
+                    EncoderConfig(**{name: value})
+
+
 class TestLossReport:
     def test_report_serializes(self):
         # a metrics.jsonl row is the report's asdict: plain JSON numbers
