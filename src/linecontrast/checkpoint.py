@@ -76,7 +76,7 @@ def _read_exact(fh, size: int, end: int, what: str) -> bytes:
 def _parse_header(blob: bytes) -> dict:
     try:
         header = json.loads(blob.decode("utf-8"))
-    except ValueError as err:  # undecodable bytes or not JSON
+    except (ValueError, RecursionError) as err:  # undecodable, not JSON or too deep
         raise ConfigMismatch(f"unreadable checkpoint header: {err}") from err
     if not isinstance(header, dict) or not {"config", "params"} <= header.keys():
         raise ConfigMismatch("checkpoint header lacks its config or parameter table")

@@ -30,11 +30,32 @@ class EmptyEdgeSet(ValueError):
 
 FeaturePair = tuple[int, int]
 
+# Graphs hold their features, edges and line edges as 2-tuples whose values
+# repeat across a corpus (a 5000-graph synthetic corpus and its line graphs
+# hold about 400k of them but only 608 distinct values). Each distinct pair is
+# kept once here and every graph refers to that one tuple. At most
+# SHARED_PAIRS_MAX pairs are kept, about 0.7 MB at worst (4096 pairs of
+# distinct ints above 256); pairs past the bound are stored fresh in each graph.
+# Only values are promised, not identity: loaders in two threads may overshoot
+# the bound by a pair each, or keep two tuples of one value.
+SHARED_PAIRS_MAX = 4096
+_shared_pairs: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+def _admit(pair: tuple[int, int]) -> tuple[int, int]:
+    """`pair`, kept as the shared one while the table is below its bound."""
+    if len(_shared_pairs) < SHARED_PAIRS_MAX:
+        _shared_pairs[pair] = pair
+    return pair
+
 
 def _int_pairs(rows: Iterable[Sequence[int]], what: str) -> list[tuple[int, int]]:
-    """The rows as pairs of ints. Only integers pass, numpy integers
-    included: a bool, float, string or null entry raises, as does a row
-    that is not a pair. Errors name the row by `what` and its index."""
+    """The rows as pairs of ints, each the shared tuple of its value while
+    the table has room; a row that is already a tuple of two ints is kept,
+    not copied. Only integers pass, numpy integers included: a bool, float,
+    string or null entry raises, as does a row that is not a pair. Errors
+    name the row by `what` and its index."""
+    shared = _shared_pairs.get
     out = []
     for i, row in enumerate(rows):
         try:
@@ -46,8 +67,10 @@ def _int_pairs(rows: Iterable[Sequence[int]], what: str) -> list[tuple[int, int]
             for x in (a, b):
                 if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
                     raise InvariantViolation(f"{what} {i}: entry {x!r} is not an integer")
-            a, b = int(a), int(b)
-        out.append((a, b))
+            row = (int(a), int(b))
+        elif type(row) is not tuple:
+            row = (a, b)
+        out.append(shared(row) or _admit(row))
     return out
 
 
@@ -140,6 +163,7 @@ def to_line_graph(g: MolecularGraph) -> LineGraphView:
     for k, (u, v) in enumerate(g.edges):
         incident[u].append(k)
         incident[v].append(k)
+    shared = _shared_pairs.get
     line_edges: list[tuple[int, int]] = []
     origins: list[int] = []
     features: list[FeaturePair] = []
@@ -148,7 +172,7 @@ def to_line_graph(g: MolecularGraph) -> LineGraphView:
             continue
         # inc is ascending because edges are scanned in index order, so
         # combinations yields the pairs in lexicographic order
-        line_edges.extend(combinations(inc, 2))
+        line_edges.extend([shared(p) or _admit(p) for p in combinations(inc, 2)])
         count = len(inc) * (len(inc) - 1) // 2
         origins.extend([v] * count)
         features.extend([g.node_features[v]] * count)

@@ -176,7 +176,7 @@ def load_corpus(path) -> list[MolecularGraph]:
                 if not line.strip():
                     continue
                 record = json.loads(line)
-            except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            except (ValueError, RecursionError) as err:  # not UTF-8/JSON, too long or deep
                 raise ParseError(f"line {lineno}: {err}") from err
             try:
                 g = graph_from_record(record)

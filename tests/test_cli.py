@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import struct
+import tempfile
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linecontrast.autodiff import AdamState
 from linecontrast.cli import main, read_kv_config, resolve_train_config
@@ -69,6 +74,17 @@ def write_corpus(tmp_path, n=12, seed=0, name="corpus.jsonl"):
     return path
 
 
+# corpus lines that json.loads refuses with an error other than a decode
+# error, each with the start of the message that follows "line N: "
+UNPARSABLE_LINES = {
+    "200000 nested arrays": ("[" * 200_000,
+                             "maximum recursion depth exceeded while decoding a JSON array"),
+    "node entry of 5000 digits": ('{"nodes":[[' + "1" * 5000 + ',0],[0,0]],"edges":[[0,1,0,0]]}',
+                                  "Exceeds the limit (4300 digits) for integer string "
+                                  "conversion"),
+}
+
+
 class TestTransformCommand:
     def test_fixtures_match_golden_byte_for_byte(self, tmp_path):
         out = tmp_path / "out.jsonl"
@@ -128,9 +144,70 @@ class TestTransformCommand:
             "error: line 2: 'utf-8' codec can't decode byte 0xff in position 39: "
             "invalid start byte"]
 
+    @pytest.mark.parametrize("line, message", UNPARSABLE_LINES.values(),
+                             ids=UNPARSABLE_LINES.keys())
+    def test_unparsable_line_exits_1_with_one_line(self, tmp_path, capsys, line, message):
+        src = tmp_path / "bad.jsonl"
+        src.write_text('{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,0]]}\n' + line + "\n")
+        assert main(["transform", "--in", str(src), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: line 2: {message}"), err
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["transform", "--in", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+# a JSON value of every type, for any position of a corpus record
+_JSON_VALUES = st.recursive(
+    st.one_of(st.integers(-3, 30), st.sampled_from([2**63, 2**64, -2**63, 10**30]),
+              st.floats(), st.booleans(), st.none(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_DEEP = "\x00deep\x00"  # stands for deep nesting until the record is serialised
+
+
+@st.composite
+def corpus_lines(draw) -> str:
+    """A path graph's record with positions replaced by typed values or by
+    nesting up to 200000 deep, then possibly cut short."""
+    small = st.integers(0, 3)
+    n = draw(st.integers(2, 5))
+    record = {"nodes": [[draw(small), draw(small)] for _ in range(n)],
+              "edges": [[i, i + 1, draw(small), draw(small)] for i in range(n - 1)]}
+    holder = [record]
+    slots = [(holder, 0), (record, "nodes"), (record, "edges")]
+    for rows in (record["nodes"], record["edges"]):
+        slots += [(rows, i) for i in range(len(rows))]
+        slots += [(row, j) for row in rows for j in range(len(row))]
+    for _ in range(draw(st.integers(0, 2))):
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(_JSON_VALUES | st.just(_DEEP))
+    line = json.dumps(holder[0])
+    depth = draw(st.integers(1, 200_000))
+    closing = "]" * depth if draw(st.booleans()) else ""
+    line = line.replace(json.dumps(_DEEP), "[" * depth + "0" + closing)
+    return line[:draw(st.integers(0, len(line)))] if draw(st.booleans()) else line
+
+
+@settings(max_examples=100, deadline=None)
+@given(line=corpus_lines())
+@example(line=UNPARSABLE_LINES["200000 nested arrays"][0])
+@example(line=UNPARSABLE_LINES["node entry of 5000 digits"][0])
+def test_any_corpus_line_exits_0_1_or_2_with_one_error_line_at_most(line):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "corpus.jsonl"
+        src.write_text('{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,0]]}\n' + line + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["transform", "--in", str(src), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert not any(entry.startswith("error:") for entry in lines), lines
 
 
 class TestPretrainCommand:
@@ -438,14 +515,21 @@ class TestEmbedCommand:
                      str(tmp_path / "none.bin"), "--out", str(tmp_path / "o")]) == 2
 
 
+def _replaced_header(blob: bytes):
+    """A corruption that puts `blob` in place of the JSON header."""
+    def corrupt(raw: bytes) -> bytes:
+        (size,) = struct.unpack("<I", raw[8:12])
+        return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + size:]
+    return corrupt
+
+
 def _edited_header(edit):
     """A corruption that rewrites the JSON header through `edit`."""
     def corrupt(raw: bytes) -> bytes:
         (size,) = struct.unpack("<I", raw[8:12])
         header = json.loads(raw[12:12 + size])
         edit(header)
-        blob = json.dumps(header).encode("utf-8")
-        return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + size:]
+        return _replaced_header(json.dumps(header).encode("utf-8"))(raw)
     return corrupt
 
 
@@ -485,6 +569,7 @@ CORRUPTIONS = {
     "edge_fusion yes": _edited_header(lambda h: h["config"].update(edge_fusion="yes")),
     "readout sum": _edited_header(lambda h: h["config"].update(readout="sum")),
     "seed -1": _edited_header(lambda h: h["meta"].update(seed=-1)),
+    "header nested 100000 deep": _replaced_header(b"[" * 100_000 + b"]" * 100_000),
 }
 
 

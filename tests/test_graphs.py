@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linecontrast import graphs
 from linecontrast.graphs import (
     EmptyEdgeSet,
     InvariantViolation,
@@ -13,6 +16,7 @@ from linecontrast.graphs import (
     permute_nodes,
     to_line_graph,
 )
+from linecontrast.pipeline import load_corpus, save_corpus, transform_corpus
 from linecontrast.synth import random_molecular_graph
 
 from conftest import (bruteforce_line_edges, degrees, line_edge_count, path3, single_edge,
@@ -192,3 +196,57 @@ class TestIntegerEntries:
     def test_non_integer_endpoint_rejected(self, bad):
         with pytest.raises(InvariantViolation, match="edge 0: entry .* is not an integer"):
             make_graph([[0, 0], [0, 0]], [(0, bad)], [[0, 0]])
+
+
+def _pairs(g: MolecularGraph):
+    return g.node_features + g.edges + g.edge_features
+
+
+class TestSharedPairs:
+    @pytest.fixture
+    def corpus_path(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus([random_molecular_graph(seed, (6, 24), 4) for seed in range(40)], path)
+        return path
+
+    def test_equal_pairs_of_a_corpus_and_its_views_are_one_object(self, corpus_path,
+                                                                  monkeypatch):
+        monkeypatch.setattr(graphs, "_shared_pairs", {})  # room whatever ran before
+        by_value = {}
+        for g, view in transform_corpus(load_corpus(corpus_path)):
+            for pair in _pairs(g) + _pairs(view.graph):
+                assert by_value.setdefault(pair, pair) is pair
+        assert len(by_value) < 1000  # far fewer values than the pairs held
+
+    def test_past_the_bound_pairs_are_fresh_and_graphs_unchanged(self, corpus_path,
+                                                                 monkeypatch):
+        monkeypatch.setattr(graphs, "_shared_pairs", {})
+        monkeypatch.setattr(graphs, "SHARED_PAIRS_MAX", 0)
+        unshared = transform_corpus(load_corpus(corpus_path))
+        assert graphs._shared_pairs == {}
+        monkeypatch.setattr(graphs, "SHARED_PAIRS_MAX", 5)
+        bounded = transform_corpus(load_corpus(corpus_path))
+        assert bounded == unshared
+        assert [graph_to_record(g) for g, _ in bounded] == [
+            graph_to_record(g) for g, _ in unshared]
+        table = graphs._shared_pairs
+        assert len(table) == 5 and all(key is value for key, value in table.items())
+        # a pair past the bound is stored fresh: two graphs hold two objects
+        first_edges = [g.edges[0] for g, _ in bounded if g.edges[0] == (0, 1)]
+        assert (0, 1) not in table and first_edges[0] is not first_edges[1]
+
+    def test_corpus_and_views_fit_the_memory_budget(self, tmp_path, monkeypatch):
+        n = 1000
+        path = tmp_path / "corpus.jsonl"
+        save_corpus([random_molecular_graph(seed) for seed in range(n)], path)
+        monkeypatch.setattr(graphs, "_shared_pairs", {})  # the table's growth counts
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = transform_corpus(load_corpus(path))
+            per_graph = (tracemalloc.get_traced_memory()[0] - before) / n
+        finally:
+            tracemalloc.stop()
+        assert len(held) == n
+        # a tuple per pair costs about 6.3 KB per graph here, shared pairs about 1.7 KB
+        assert per_graph < 3500, per_graph
