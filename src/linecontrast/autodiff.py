@@ -14,7 +14,9 @@ is summed over the broadcast axis. Everything else is shape-strict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -624,7 +626,8 @@ class FlatLayout:
     def __init__(self, shapes: dict[str, tuple[int, ...]]):
         self.names = sorted(shapes)
         self.shapes = [tuple(shapes[name]) for name in self.names]
-        ends = np.cumsum([0] + [int(np.prod(shape)) for shape in self.shapes]).tolist()
+        # Python ints, so a huge stored shape cannot wrap the sizes round
+        ends = list(accumulate(map(math.prod, self.shapes), initial=0))
         self.size = ends[-1]
         self._bounds = list(zip(ends[:-1], ends[1:]))
 

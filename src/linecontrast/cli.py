@@ -3,12 +3,13 @@
 Exit codes: 0 success, 1 validation or check failure, 2 I/O or config
 error. Every TrainConfig field but `encoder`, and every EncoderConfig
 field, is one config-file key and one `pretrain` flag (the key with
-dashes); no other table lists them. Training options resolve as preset
-defaults, then config-file values, then explicit flags; a key repeated in
-a config file is a config error. Every run banner echoes the fully
-resolved configuration. The LINECONTRAST_LOG environment variable (quiet,
-warning, info, debug; any other value is a config error) controls
-verbosity.
+dashes); no other table lists them. Both give text that one table of
+casters converts, and a value it rejects is a config error naming the key
+or flag. Training options resolve as preset defaults, then config-file
+values, then explicit flags; a key repeated in a config file is a config
+error. Every run banner echoes the fully resolved configuration. The
+LINECONTRAST_LOG environment variable (quiet, warning, info, debug; any
+other value is a config error) controls verbosity.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import gradcheck as gradcheck_mod
+from .autodiff import NonFinite
 from .checkpoint import ConfigMismatch
-from .encoder import EmptyGraph, EncoderConfig, ViewMismatch, VocabOutOfRange
-from .graphs import EmptyEdgeSet, InvariantViolation, line_graph_to_record, to_line_graph
-from .losses import BatchTooSmall, NonFinite
+from .encoder import EncoderConfig
+from .graphs import line_graph_to_record, to_line_graph
 from .pipeline import (
-    ParseError,
     TrainConfig,
     desk_train_config,
     embed_corpus,
@@ -55,9 +55,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("false", "0", "no"):
         return False
-    # argparse prints this message as it is after the flag's name; a
-    # config-file value gets it inside a ConfigError naming the key
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 # key -> (section, caster), one per settable field, cast by its annotation
@@ -96,19 +94,21 @@ def read_kv_config(path) -> dict[str, str]:
 
 
 def resolve_train_config(preset: str, file_values: dict[str, str],
-                         flag_values: dict[str, object]) -> TrainConfig:
+                         flag_values: dict[str, str | None]) -> TrainConfig:
+    """The preset, then the file's values, then the flags given (None
+    means not given); both routes' values are text, cast by one table."""
     base = desk_train_config() if preset == "desk" else full_train_config()
     sections = {"train": dataclasses.asdict(base)}
     sections["encoder"] = sections["train"].pop("encoder")
-    for key, raw in file_values.items():
+    given = [(f"config key {key}", key, raw) for key, raw in file_values.items()]
+    given += [(f"flag --{key.replace('_', '-')}", key, raw)
+              for key, raw in flag_values.items() if raw is not None]
+    for source, key, raw in given:
         section, caster = _CONFIG_KEYS[key]
         try:
             sections[section][key] = caster(raw)
-        except (ValueError, argparse.ArgumentTypeError) as err:
-            raise ConfigError(f"config key {key}: {err}") from err
-    for key, value in flag_values.items():
-        if value is not None:
-            sections[_CONFIG_KEYS[key][0]][key] = value
+        except ValueError as err:
+            raise ConfigError(f"{source}: {err}") from err
     try:
         return TrainConfig(encoder=EncoderConfig(**sections["encoder"]), **sections["train"])
     except ValueError as err:
@@ -267,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="continue from the checkpoint in the output directory")
     p.add_argument("--preset", choices=("desk", "full"), default="desk")
-    for key, (_, caster) in _CONFIG_KEYS.items():
-        p.add_argument("--" + key.replace("_", "-"), type=caster)
+    for key in _CONFIG_KEYS:  # text, cast by resolve_train_config
+        p.add_argument("--" + key.replace("_", "-"))
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient validation")
@@ -314,10 +314,8 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-_VALIDATION_ERRORS = (
-    ParseError, InvariantViolation, EmptyEdgeSet, VocabOutOfRange, ViewMismatch,
-    EmptyGraph, BatchTooSmall, NonFinite, ValueError,
-)
+# every other validation error of the package is a ValueError
+_VALIDATION_ERRORS = (ValueError, NonFinite)
 
 
 def main(argv=None) -> int:

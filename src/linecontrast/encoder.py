@@ -31,6 +31,7 @@ readout; with fusion off, it runs no line layer at all.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field, replace
 from math import inf, sqrt
 
@@ -91,16 +92,18 @@ class EncoderConfig:
                               ("bond_direction_vocab", 1)):
             value = getattr(self, name)
             if type(value) is not int or value < minimum:  # a bool is an int to isinstance
-                raise ValueError(f"{name} must be an int of at least {minimum}, got {value!r}")
+                raise ValueError(f"{name} must be an int of at least {minimum}, "
+                                 f"got {reprlib.repr(value)}")
         if type(self.edge_fusion) is not bool:
-            raise ValueError(f"edge_fusion must be a bool, got {self.edge_fusion!r}")
+            raise ValueError(f"edge_fusion must be a bool, got {reprlib.repr(self.edge_fusion)}")
         # the comparisons are False for NaN, so NaN fails them too
         if not 0 < self.tau < inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
+            raise ValueError(f"tau must be positive and finite, got {reprlib.repr(self.tau)}")
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not 0 <= value < inf:
-                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"got {reprlib.repr(value)}")
 
     @property
     def vocab(self) -> tuple[int, int, int, int]:

@@ -13,6 +13,7 @@ attributes can be transferred and the two views kept row-aligned.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -61,12 +62,13 @@ def _int_pairs(rows: Iterable[Sequence[int]], what: str) -> list[tuple[int, int]
         try:
             a, b = row
         except (TypeError, ValueError):
-            got = f"{len(row)} entries" if hasattr(row, "__len__") else repr(row)
+            got = f"{len(row)} entries" if hasattr(row, "__len__") else reprlib.repr(row)
             raise InvariantViolation(f"{what} {i}: expected a pair, got {got}") from None
         if type(a) is not int or type(b) is not int:
             for x in (a, b):
                 if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                    raise InvariantViolation(f"{what} {i}: entry {x!r} is not an integer")
+                    raise InvariantViolation(f"{what} {i}: entry {reprlib.repr(x)} "
+                                             "is not an integer")
             row = (int(a), int(b))
         elif type(row) is not tuple:
             row = (a, b)
@@ -78,9 +80,10 @@ def _as_pairs(rows: Iterable[Sequence[int]], what: str) -> tuple[FeaturePair, ..
     pairs = _int_pairs(rows, what)
     for i, (a, b) in enumerate(pairs):
         if a < 0 or b < 0:
-            raise InvariantViolation(f"{what} {i}: negative category index {(a, b)}")
+            raise InvariantViolation(f"{what} {i}: negative category index "
+                                     f"{reprlib.repr((a, b))}")
         if a >= 2 ** 63 or b >= 2 ** 63:  # batches hold features as int64
-            raise InvariantViolation(f"{what} {i}: category index {max(a, b)} "
+            raise InvariantViolation(f"{what} {i}: category index {reprlib.repr(max(a, b))} "
                                      "is outside the int64 range")
     return tuple(pairs)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from linecontrast.checkpoint import MAGIC
 from linecontrast.graphs import MolecularGraph, make_graph
 
 
@@ -91,6 +92,13 @@ NON_INTEGER_RECORDS = {
     "direction 2**64": ('{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,18446744073709551616]]}',
                         "edge feature 0: category index 18446744073709551616 is outside "
                         "the int64 range"),
+    # long values are cut to reprlib's short form, so the line stays short
+    "entry of 100000 characters": ('{"nodes":[[0,0],["' + "a" * 100_000 + '",0]],'
+                                   '"edges":[[0,1,0,0]]}',
+                                   "node 1: entry 'aaaaaaaaaaaa...aaaaaaaaaaaaa' is not an integer"),
+    "atom of 4000 digits": ('{"nodes":[[0,0],[' + "1" * 4000 + ',0]],"edges":[[0,1,0,0]]}',
+                            "node 1: category index 111111111111111111...1111111111111111111 "
+                            "is outside the int64 range"),
 }
 
 
@@ -108,11 +116,11 @@ def read_checkpoint_tables(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def write_checkpoint_tables(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
-    """The version-1 container as a generic writer: `header` with the table
+    """The checkpoint container as a generic writer: `header` with the table
     of `arrays` in sorted name order, then each array's data in that order;
     so it can write tables that the program never writes."""
     names = sorted(arrays)
     header = {**header, "params": [[name, list(arrays[name].shape)] for name in names]}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    Path(path).write_bytes(b"LNCT0001" + struct.pack("<I", len(blob)) + blob
+    Path(path).write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob
                            + b"".join(arrays[name].astype("<f8").tobytes() for name in names))

@@ -1,7 +1,11 @@
 import contextlib
 import dataclasses
+import functools
+import importlib
+import inspect
 import io
 import json
+import pkgutil
 import re
 import struct
 import tempfile
@@ -13,9 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import linecontrast
+from linecontrast import cli
 from linecontrast.autodiff import AdamState
 from linecontrast.cli import main, read_kv_config, resolve_train_config
-from linecontrast.encoder import DualHelixParams, EncoderConfig
+from linecontrast.encoder import DualHelixParams, EncoderConfig, param_shapes
 from linecontrast.pipeline import (
     PretrainResult,
     TrainConfig,
@@ -337,39 +343,13 @@ class TestPretrainCommand:
         assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
         assert [(out_dir / f).read_bytes() for f in ("checkpoint.bin", "metrics.jsonl")] == kept
 
-    def test_checkpoint_with_unread_edge_tables_resumes_like_a_straight_run(self, tmp_path):
-        # older checkpoints hold edge tables for every layer; with fusion on
-        # the layers past the first never read them, so Adam left them at
-        # their initial draws with zero moments
-        corpus = write_corpus(tmp_path)
-        code, old_dir = self.run_pretrain(tmp_path, corpus)
-        assert code == 0
-        ckpt_path = old_dir / "checkpoint.bin"
-        header, arrays = read_checkpoint_tables(ckpt_path)
-        config = {**header["config"], "edge_fusion": False}
-        del config["readout"]
-        drawn = DualHelixParams.initialize(EncoderConfig(**config), 1).arrays
-        unread = sorted(set(drawn) - {k.removeprefix("model.") for k in arrays})
-        assert unread == ["graph.layer1.edge.bond_direction", "graph.layer1.edge.bond_type",
-                          "line.layer1.edge.atomic", "line.layer1.edge.chirality"]
-        for name in unread:
-            arrays[f"model.{name}"] = drawn[name]
-            arrays[f"opt.m.{name}"] = arrays[f"opt.v.{name}"] = np.zeros_like(drawn[name])
-        write_checkpoint_tables(ckpt_path, header, arrays)
-        straight_dir = tmp_path / "straight"
-        for out_dir, extra in ((old_dir, ["--resume"]), (straight_dir, [])):
-            assert main(["pretrain", "--corpus", str(corpus), "--out", str(out_dir),
-                         "--epochs", "2", "--batch-size", "4", "--hidden-dim", "16",
-                         "--depth", "2", "--seed", "1", *extra]) == 0
-        for name in ("checkpoint.bin", "metrics.jsonl"):
-            assert (old_dir / name).read_bytes() == (straight_dir / name).read_bytes()
-
     @pytest.mark.parametrize("flags, config, names", [
         (["--alpha", "nan"], "", "alpha"),
         (["--tau", "inf"], "", "tau"),
         (["--beta", "inf"], "", "beta"),
         (["--learning-rate", "inf"], "", "learning_rate"),
         (["--seed", "-1"], "", "seed"),
+        (["--epochs", "many"], "", "flag --epochs: invalid literal for int()"),
         ([], "tau=nan\n", "tau"),
         ([], "seed=-2\n", "seed"),
         ([], "inclusive_denominator=true\n", "unknown key 'inclusive_denominator'"),
@@ -377,6 +357,7 @@ class TestPretrainCommand:
         ([], "readout=mean\n", "unknown key 'readout'"),
         ([], "epochs=1\n# again\nepochs=2\n", "run.cfg:3: key 'epochs' repeats line 1"),
     ], ids=["alpha nan", "tau inf", "beta inf", "learning rate inf", "seed negative",
+            "epochs not an int",
             "config tau nan", "config seed negative", "config inclusive_denominator",
             "config shuffle", "config readout", "config key repeated"])
     def test_bad_setting_exits_2_before_any_output(self, tmp_path, capsys, flags, config,
@@ -417,11 +398,9 @@ class TestPretrainCommand:
         assert main([*base, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: config key edge_fusion: expected a boolean, got 'maybe'"]
-        with pytest.raises(SystemExit) as exited:
-            main([*base, "--edge-fusion", "maybe"])
-        assert exited.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1].endswith(
-            "error: argument --edge-fusion: expected a boolean, got 'maybe'")
+        assert main([*base, "--edge-fusion", "maybe"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: flag --edge-fusion: expected a boolean, got 'maybe'"]
 
     def test_overflowing_weighted_total_names_the_step(self, tmp_path, capsys):
         # finite losses, but alpha * l_inter overflows to an infinite total
@@ -537,6 +516,14 @@ def _negative_first_dimension(header):
     header["params"][0][1][0] = -1
 
 
+def _hidden_dim_2_30_with_its_table(header):
+    # only the data size can refuse it, and in int64 that size wraps negative
+    header["config"]["hidden_dim"] = 2**30
+    shapes = param_shapes(EncoderConfig(**header["config"]))
+    header["params"] = [[prefix + name, list(shapes[name])]
+                        for prefix in ("model.", "opt.m.", "opt.v.") for name in sorted(shapes)]
+
+
 CORRUPTIONS = {
     "cut in the header length": lambda raw: raw[:10],
     "cut in the header": lambda raw: raw[:40],
@@ -548,20 +535,27 @@ CORRUPTIONS = {
     "parameter entry without shape": _edited_header(lambda h: h["params"][0].pop()),
     "negative dimension": _edited_header(_negative_first_dimension),
     "metadata not an object": _edited_header(lambda h: h.update(meta=[])),
+    # the version-1 "adam" sub-object and Adam's constants are unknown meta keys
     "adam metadata a list": _edited_header(lambda h: h["meta"].update(adam=[1, 2])),
-    "adam rate a string": _edited_header(
-        lambda h: h["meta"].update(adam={"learning_rate": "fast"})),
+    "adam rate a string": _edited_header(lambda h: h["meta"].update(learning_rate="fast")),
     "step null": _edited_header(lambda h: h["meta"].update(step=None)),
     "step a string": _edited_header(lambda h: h["meta"].update(step="x")),
     "seed null": _edited_header(lambda h: h["meta"].update(seed=None)),
-    "adam beta1 one": _edited_header(lambda h: h["meta"]["adam"].update(beta1=1.0)),
-    "adam beta1 half": _edited_header(lambda h: h["meta"]["adam"].update(beta1=0.5)),
-    "adam rate negative": _edited_header(
-        lambda h: h["meta"]["adam"].update(learning_rate=-1.0)),
-    "adam rate zero": _edited_header(lambda h: h["meta"]["adam"].update(learning_rate=0.0)),
-    "adam eps zero": _edited_header(lambda h: h["meta"]["adam"].update(eps=0.0)),
-    "adam unknown key": _edited_header(lambda h: h["meta"].update(
-        adam={"learning_rat": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8})),
+    "adam beta1 one": _edited_header(lambda h: h["meta"].update(beta1=1.0)),
+    "adam beta1 half": _edited_header(lambda h: h["meta"].update(beta1=0.5)),
+    "adam rate negative": _edited_header(lambda h: h["meta"].update(learning_rate=-1.0)),
+    "adam rate zero": _edited_header(lambda h: h["meta"].update(learning_rate=0.0)),
+    "adam eps zero": _edited_header(lambda h: h["meta"].update(eps=0.0)),
+    "adam unknown key": _edited_header(lambda h: h["meta"].update(learning_rat=0.01)),
+    "learning_rate missing": _edited_header(lambda h: h["meta"].pop("learning_rate")),
+    "learning_rate an int": _edited_header(lambda h: h["meta"].update(learning_rate=1)),
+    "learning_rate NaN": _edited_header(
+        lambda h: h["meta"].update(learning_rate=float("nan"))),
+    "config key missing": _edited_header(lambda h: h["config"].pop("tau")),
+    "unread edge table": _edited_header(
+        lambda h: h["params"].append(["model.graph.layer1.edge.bond_type", [5, 4]])),
+    "version 1 tag": lambda raw: b"LNCT0001" + raw[8:],
+    "hidden_dim 2**30 with its table": _edited_header(_hidden_dim_2_30_with_its_table),
     "trailing bytes": lambda raw: raw + b"\x00",
     "config tau NaN": _edited_header(lambda h: h["config"].update(tau=float("nan"))),
     "depth 2.5": _edited_header(lambda h: h["config"].update(depth=2.5)),
@@ -598,6 +592,78 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@functools.cache
+def _checkpoint_bytes() -> bytes:
+    """An intact depth-1, width-4 checkpoint's bytes."""
+    params = DualHelixParams.initialize(EncoderConfig(depth=1, hidden_dim=4), 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.bin"
+        save_training_checkpoint(path, PretrainResult(
+            params=params, reports=[], optimizer=AdamState.for_params(params.arrays)))
+        return path.read_bytes()
+
+
+@st.composite
+def checkpoint_files(draw) -> bytes:
+    """An intact checkpoint cut short, with one byte flipped, or with up to
+    three header entries (keys of the header, config or meta, a new key, or
+    table entries) set to typed values, depths up to 1e9 among them."""
+    raw = _checkpoint_bytes()
+    kind = draw(st.sampled_from(["cut", "flip", "header"]))
+    if kind == "cut":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        i = draw(st.integers(0, len(raw) - 1))
+        return raw[:i] + bytes([raw[i] ^ draw(st.integers(1, 255))]) + raw[i + 1:]
+    (size,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + size])
+    slots = [(header, key) for key in (*header, "extra")]
+    slots += [(header[section], key) for section in ("config", "meta")
+              for key in (*header[section], "extra")]
+    slots += [(header["params"], i) for i in range(len(header["params"]))]
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(_JSON_VALUES | st.integers(-2, 10**9))
+    return _replaced_header(json.dumps(header).encode("utf-8"))(raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=checkpoint_files())
+@example(raw=CORRUPTIONS["version 1 tag"](_checkpoint_bytes()))
+@example(raw=_edited_header(lambda h: h["config"].update(depth=10**9))(_checkpoint_bytes()))
+def test_any_checkpoint_exits_0_1_or_2_with_one_error_line_at_most(raw):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "checkpoint.bin"
+        ckpt.write_bytes(raw)
+        corpus = write_corpus(Path(tmp), n=3)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["embed", "--corpus", str(corpus), "--ckpt", str(ckpt),
+                         "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert not any(entry.startswith("error:") for entry in lines), lines
+
+
+def test_every_package_exception_exits_with_one_error_line(monkeypatch, capsys):
+    found = []
+    for info in pkgutil.iter_modules(linecontrast.__path__):
+        module = importlib.import_module(f"linecontrast.{info.name}")
+        found += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(cls, BaseException) and cls.__module__ == module.__name__]
+    assert {"ConfigError", "ConfigMismatch", "NonFinite", "ParseError"} <= {
+        cls.__name__ for cls in found}
+    for cls in found:
+        def fail(args, cls=cls):
+            raise cls("boom")
+        monkeypatch.setattr(cli, "cmd_transform", fail)
+        assert main(["transform", "--in", "x", "--out", "y"]) in (1, 2), cls
+        assert capsys.readouterr().err.splitlines() == ["error: boom"], cls
 
 
 BAD_BENCH_FLAGS = {

@@ -466,3 +466,12 @@ class TestParams:
                 EncoderConfig(**bad)
         with pytest.raises(ValueError):
             EncoderConfig(tau=0.0)
+
+    def test_rejected_value_is_echoed_short(self):
+        with pytest.raises(ValueError) as err:
+            EncoderConfig(depth="x" * 100_000)
+        assert str(err.value) == ("depth must be an int of at least 1, "
+                                  "got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'")
+        with pytest.raises(ValueError) as err:
+            EncoderConfig(tau=-10.0 ** 300)
+        assert str(err.value) == "tau must be positive and finite, got -1e+300"

@@ -2,7 +2,8 @@ import importlib
 import json
 import logging
 import struct
-from dataclasses import replace
+import tracemalloc
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,63 @@ class TestCheckpoint:
         path.write_bytes(clipped)
         with pytest.raises(ConfigMismatch, match="truncated"):
             load_checkpoint(path)
+
+    def test_header_holds_the_config_counters_and_table(self, tmp_path):
+        params = DualHelixParams.initialize(CFG, 3)
+        opt = AdamState.for_params(params.arrays, learning_rate=0.02)
+        opt.step = 7
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, params, opt, 11, 4)
+        header, arrays = read_checkpoint_tables(path)
+        assert path.read_bytes()[:8] == b"LNCT0002"
+        assert sorted(header) == ["config", "meta", "params"]
+        assert header["config"] == asdict(CFG)
+        assert header["meta"] == {"step": 11, "epochs_done": 4, "seed": 3, "adam_step": 7,
+                                  "learning_rate": 0.02}
+        assert len(arrays) == 3 * len(params.arrays)
+
+    def test_version_1_file_names_both_tags(self, tmp_path):
+        params = DualHelixParams.initialize(CFG, 0)
+        path = tmp_path / "v1.bin"
+        save_checkpoint(path, params, AdamState.for_params(params.arrays), 0, 0)
+        path.write_bytes(b"LNCT0001" + path.read_bytes()[8:])
+        with pytest.raises(ConfigMismatch) as err:
+            load_checkpoint(path)
+        assert str(err.value) == "bad version tag b'LNCT0001', expected b'LNCT0002'"
+
+    def test_depth_the_table_cannot_hold_is_refused_before_its_layout(self, tmp_path):
+        # the layout of depth 100000 would take hundreds of MB to build
+        params = DualHelixParams.initialize(EncoderConfig(depth=1, hidden_dim=4), 0)
+        path = tmp_path / "deep.bin"
+        save_checkpoint(path, params, AdamState.for_params(params.arrays), 0, 0)
+        header, arrays = read_checkpoint_tables(path)
+        header["config"]["depth"] = 100_000
+        write_checkpoint_tables(path, header, arrays)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigMismatch, match="of depth 100000"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_save_that_fails_part_way_leaves_the_old_file(self, tmp_path):
+        params = DualHelixParams.initialize(CFG, 0)
+        opt = AdamState.for_params(params.arrays)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, params, opt, 1, 1)
+        old = path.read_bytes()
+
+        class Unwritable:  # fails after the header and the first two buffers
+            def astype(self, dtype):
+                raise OSError("no space left on device")
+
+        opt.v = Unwritable()
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(path, params, opt, 2, 2)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
     def test_missing_parameter_detected_on_training_load(self, tmp_path):
         result = pretrain(small_corpus(8), tiny_train_config(epochs=1))
