@@ -7,9 +7,10 @@ a topological order, so backward replays the record once in reverse. A
 tape is meant to live for a single training step and be discarded after
 backward.
 
-Broadcasting is limited: the second operand of add / mul may be
-a 1 x m row or an n x 1 column against an n x m left operand; its gradient
-is summed over the broadcast axis. Everything else is shape-strict.
+Broadcasting is limited: the second operand of add may be a 1 x m row
+against an n x m left operand, its gradient summed over the rows, and the
+constant factor of scale may be a row, a column or a scalar. Everything
+else is shape-strict.
 """
 
 from __future__ import annotations
@@ -159,57 +160,37 @@ def _apply(tape: Tape | None, out: np.ndarray, ins: tuple[Tensor, ...], backward
     return tape._record(out, tuple(t.slot for t in ins), backward)
 
 
-def _broadcast_ok(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    if a == b:
-        return True
-    return (b == (1, a[1])) or (b == (a[0], 1))
-
-
-def _reduce_to(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    if shape[0] == 1:
-        return g.sum(axis=0, keepdims=True)
-    return g.sum(axis=1, keepdims=True)
-
-
 # --- primitives --------------------------------------------------------------
 
 def add(a, b) -> Tensor:
+    """a + b, with b of a's shape or a 1 x m row added to every row of a."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if not _broadcast_ok(a.shape, b.shape):
+    same = b.shape == a.shape
+    if not same and b.shape != (1, a.shape[1]):
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
-    out = a.data + b.data
-    b_shape = b.shape
 
     def backward(g):
-        return g, _reduce_to(g, b_shape)
+        return g, g if same else g.sum(axis=0, keepdims=True)
 
-    return _apply(_tape_of(a, b), out, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if not _broadcast_ok(a.shape, b.shape):
-        raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
-    out = a.data * b.data
-    a_data, b_data, b_shape = a.data, b.data, b.shape
-
-    def backward(g):
-        return g * b_data, _reduce_to(g * a_data, b_shape)
-
-    return _apply(_tape_of(a, b), out, (a, b), backward)
+    return _apply(_tape_of(a, b), a.data + b.data, (a, b), backward)
 
 
-def scale(a, c: float) -> Tensor:
+def scale(a, c) -> Tensor:
+    """a times the constant c: a float, or a float64 array that broadcasts
+    to a's n x m shape (1 x 1, a 1 x m row, an n x 1 column or n x m). c
+    takes no gradient."""
     a = _as_tensor(a)
-    c = float(c)
-    out = a.data * c
+    if np.ndim(c) == 0:
+        c = float(c)
+    else:
+        c = np.asarray(c, dtype=np.float64)
+        if c.ndim != 2 or any(k not in (1, n) for k, n in zip(c.shape, a.shape)):
+            raise ShapeMismatch(f"scale: {a.shape} vs {c.shape}")
 
     def backward(g):
         return (g * c,)
 
-    return _apply(_tape_of(a), out, (a,), backward)
+    return _apply(_tape_of(a), a.data * c, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -222,19 +203,6 @@ def matmul(a, b) -> Tensor:
         return g @ b_data.T, a_data.T @ g
 
     return _apply(_tape_of(a, b), a_data @ b_data, (a, b), backward)
-
-
-def concat_cols(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"concat_cols: {a.shape} vs {b.shape}")
-    out = np.concatenate([a.data, b.data], axis=1)
-    split = a.shape[1]
-
-    def backward(g):
-        return g[:, :split], g[:, split:]
-
-    return _apply(_tape_of(a, b), out, (a, b), backward)
 
 
 def _flat_index(idx: np.ndarray, d: int) -> np.ndarray:
@@ -252,15 +220,20 @@ def _sum_rows_into(x: np.ndarray, flat: np.ndarray, num_rows: int) -> np.ndarray
 
 
 def gather_rows(x, rows) -> Tensor:
+    """x[rows] for a 1-D index. An (n, k) index gives n x k*d, row r
+    holding x[rows[r, 0]], ..., x[rows[r, k - 1]] side by side; its
+    backward is still one bincount."""
     x = _as_tensor(x)
-    idx = np.asarray(rows, dtype=np.int64).reshape(-1)
+    idx = np.asarray(rows, dtype=np.int64)
+    n, k = idx.shape if idx.ndim == 2 else (idx.size, 1)
+    idx = idx.reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeMismatch(f"gather_rows: index outside 0..{x.shape[0] - 1}")
-    out = x.data[idx]
-    x_shape = x.shape
+    num_rows, d = x.shape
+    out = x.data[idx].reshape(n, k * d)
 
     def backward(g):
-        return (_sum_rows_into(g, _flat_index(idx, x_shape[1]), x_shape[0]),)
+        return (_sum_rows_into(g.reshape(n * k, d), _flat_index(idx, d), num_rows),)
 
     return _apply(_tape_of(x), out, (x,), backward)
 

@@ -5,11 +5,13 @@ error. Every TrainConfig field but `encoder`, and every EncoderConfig
 field, is one config-file key and one `pretrain` flag (the key with
 dashes); no other table lists them. Both give text that one table of
 casters converts, and a value it rejects is a config error naming the key
-or flag. Training options resolve as preset defaults, then config-file
-values, then explicit flags; a key repeated in a config file is a config
-error. Every run banner echoes the fully resolved configuration. The
-LINECONTRAST_LOG environment variable (quiet, warning, info, debug; any
-other value is a config error) controls verbosity.
+or flag and what it expects. Every echoed value is cut to reprlib's short
+form, so an error stays one short line. Training options resolve as
+preset defaults, then config-file values, then explicit flags; a key
+repeated in a config file is a config error. Every run banner echoes the
+fully resolved configuration. The LINECONTRAST_LOG environment variable
+(quiet, warning, info, debug; any other value is a config error) controls
+verbosity.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import dataclasses
 import json
 import logging
 import os
+import reprlib
 import sys
 import typing
 from pathlib import Path
@@ -55,13 +58,14 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise ValueError("not a boolean")
 
 
-# key -> (section, caster), one per settable field, cast by its annotation
-_CASTERS = {int: int, float: float, bool: _parse_bool}
+# key -> (section, caster, what it expects), one per settable field, cast by
+# its annotation
+_CASTERS = {int: (int, "an int"), float: (float, "a float"), bool: (_parse_bool, "a boolean")}
 _CONFIG_KEYS = {
-    f.name: (section, _CASTERS[typing.get_type_hints(cls)[f.name]])
+    f.name: (section, *_CASTERS[typing.get_type_hints(cls)[f.name]])
     for section, cls in (("train", TrainConfig), ("encoder", EncoderConfig))
     for f in dataclasses.fields(cls) if f.name != "encoder"
 }
@@ -80,11 +84,12 @@ def read_kv_config(path) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise ConfigError(f"{path}:{lineno}: expected key=value, "
+                                  f"got {reprlib.repr(line)}")
             key, _, value = line.partition("=")
             key = key.strip()
             if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ConfigError(f"{path}:{lineno}: unknown key {reprlib.repr(key)}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line "
                                   f"{first_line[key]}")
@@ -104,11 +109,11 @@ def resolve_train_config(preset: str, file_values: dict[str, str],
     given += [(f"flag --{key.replace('_', '-')}", key, raw)
               for key, raw in flag_values.items() if raw is not None]
     for source, key, raw in given:
-        section, caster = _CONFIG_KEYS[key]
+        section, caster, expected = _CONFIG_KEYS[key]
         try:
             sections[section][key] = caster(raw)
         except ValueError as err:
-            raise ConfigError(f"{source}: {err}") from err
+            raise ConfigError(f"{source}: expected {expected}, got {reprlib.repr(raw)}") from err
     try:
         return TrainConfig(encoder=EncoderConfig(**sections["encoder"]), **sections["train"])
     except ValueError as err:
@@ -208,10 +213,11 @@ def _bench_sizes(text: str) -> tuple[int, ...]:
     try:
         sizes = tuple(int(s) for s in text.split(","))
     except ValueError:
-        raise ConfigError(f"--sizes must be comma-separated integers, got {text!r}") from None
+        raise ConfigError(f"--sizes must be comma-separated integers, "
+                          f"got {reprlib.repr(text)}") from None
     if len(set(sizes)) < 2 or min(sizes) < 1:
         raise ConfigError(f"--sizes needs at least two distinct sizes of at least 1, "
-                          f"got {text!r}")
+                          f"got {reprlib.repr(text)}")
     return sizes
 
 
@@ -309,7 +315,7 @@ def _configure_logging() -> None:
     raw = os.environ.get("LINECONTRAST_LOG") or "info"
     if raw.lower() not in _LOG_LEVELS:
         raise ConfigError(f"LINECONTRAST_LOG must be one of {', '.join(_LOG_LEVELS)} "
-                          f"(any case), got {raw!r}")
+                          f"(any case), got {reprlib.repr(raw)}")
     logging.basicConfig(level=_LOG_LEVELS[raw.lower()],
                         format="%(levelname)s %(name)s: %(message)s")
 

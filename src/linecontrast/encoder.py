@@ -42,13 +42,12 @@ from .autodiff import (
     Incidence,
     Tensor,
     add,
-    concat_cols,
     constant,
     gather_rows,
     helix_layer,
     matmul,
-    mul,
     relu,
+    scale,
     scatter_add_rows,
 )
 
@@ -164,8 +163,10 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, int]]:
 class DualHelixParams:
     """All named parameter arrays for both helices plus the shared heads.
 
-    Construction copies the arrays into `flat`, one float64 buffer in
-    sorted name order (a checkpoint's data order), and `arrays` holds
+    Construction checks the arrays against the config's param_shapes
+    (ShapeMismatch names the first array that is missing, unknown or
+    misshaped) and copies them into `flat`, one float64 buffer in sorted
+    name order (a checkpoint's data order), and `arrays` holds
     reshaped views into it; so an in-place update of `flat`, as Adam's, is
     an update of every array.
     """
@@ -176,7 +177,7 @@ class DualHelixParams:
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        layout = FlatLayout({name: arr.shape for name, arr in self.arrays.items()})
+        layout = FlatLayout(param_shapes(self.config))
         self.flat = layout.pack(self.arrays)
         self.arrays = layout.views(self.flat)
 
@@ -246,7 +247,7 @@ def readout(h: Tensor, offsets: np.ndarray) -> Tensor:
     if (counts <= 0).any():
         raise EmptyGraph(f"graph {int(np.flatnonzero(counts <= 0)[0])} has no nodes")
     graph_ids = np.repeat(np.arange(len(counts)), counts)
-    return mul(scatter_add_rows(h, graph_ids, len(counts)), constant(1.0 / counts[:, None]))
+    return scale(scatter_add_rows(h, graph_ids, len(counts)), 1.0 / counts[:, None])
 
 
 def project(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
@@ -256,9 +257,7 @@ def project(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
 
 def edge_pair_representation(h: Tensor, edges: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     """Affine map of the concatenated endpoint states, canonical u < v order."""
-    left = gather_rows(h, edges[:, 0])
-    right = gather_rows(h, edges[:, 1])
-    return add(matmul(concat_cols(left, right), w), b)
+    return add(matmul(gather_rows(h, edges), w), b)
 
 
 def _helices(batch, params: dict[str, Tensor], cfg: EncoderConfig,

@@ -41,7 +41,7 @@ class ComponentResult:
 def _scalarize(out: Tensor, weights: np.ndarray) -> Tensor:
     """Reduce a matrix output to a scalar with a fixed random weighting so
     every output element influences the objective."""
-    weighted = ad.mul(out, ad.constant(weights))
+    weighted = ad.scale(out, weights)
     rows, cols = out.shape
     return ad.matmul(ad.matmul(ad.constant(np.ones((1, rows))), weighted),
                      ad.constant(np.ones((cols, 1))))
@@ -117,33 +117,29 @@ def _primitive_cases(rng: np.random.Generator) -> dict[str, list[Case]]:
     w34 = rng.standard_normal((3, 4))
     w45 = rng.standard_normal((4, 5))
     w37 = rng.standard_normal((3, 7))
-    w36 = rng.standard_normal((3, 6))
+    w310 = rng.standard_normal((3, 10))
+    col3 = rng.standard_normal((3, 1))
+    full34 = rng.standard_normal((3, 4))
     cases: dict[str, list[Case]] = {}
 
     cases["add"] = [
         (lambda t: _scalarize(ad.add(t["a"], t["b"]), w34), {"a": mat(3, 4), "b": mat(3, 4)}),
         (lambda t: _scalarize(ad.add(t["a"], t["b"]), w34), {"a": mat(3, 4), "b": mat(1, 4)}),
-        (lambda t: _scalarize(ad.add(t["a"], t["b"]), w34), {"a": mat(3, 4), "b": mat(3, 1)}),
-    ]
-    cases["mul"] = [
-        (lambda t: _scalarize(ad.mul(t["a"], t["b"]), w34), {"a": mat(3, 4), "b": mat(3, 4)}),
-        (lambda t: _scalarize(ad.mul(t["a"], t["b"]), w34), {"a": mat(3, 4), "b": mat(1, 4)}),
-        (lambda t: _scalarize(ad.mul(t["a"], t["b"]), w34), {"a": mat(3, 4), "b": mat(3, 1)}),
     ]
     cases["scale"] = [
-        (lambda t: _scalarize(ad.scale(t["a"], -1.7), w34), {"a": mat(3, 4)}),
+        (lambda t, c=c: _scalarize(ad.scale(t["a"], c), w34), {"a": mat(3, 4)})
+        for c in (-1.7, col3, full34)
     ]
     cases["matmul"] = [
         (lambda t: _scalarize(ad.matmul(t["a"], t["b"]), w37),
          {"a": mat(3, 4), "b": mat(4, 7)}),
     ]
-    cases["concat_cols"] = [
-        (lambda t: _scalarize(ad.concat_cols(t["a"], t["b"]), w36),
-         {"a": mat(3, 2), "b": mat(3, 4)}),
-    ]
     gather_idx = np.array([2, 0, 2, 1])  # repeated row on purpose
+    pair_idx = np.array([[2, 0], [1, 2], [2, 2]])  # row 2 repeated within and across pairs
     cases["gather_rows"] = [
         (lambda t: _scalarize(ad.gather_rows(t["x"], gather_idx), w45),
+         {"x": mat(3, 5)}),
+        (lambda t: _scalarize(ad.gather_rows(t["x"], pair_idx), w310),
          {"x": mat(3, 5)}),
     ]
     scatter_idx = np.array([1, 0, 1, 3])  # collision on row 1, row 2 unreached

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import reprlib
 import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
@@ -143,7 +144,7 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate!r}")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise ValueError(f"seed must be non-negative, got {reprlib.repr(self.seed)}")
 
 
 def desk_train_config(**overrides) -> TrainConfig:

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from linecontrast.encoder import DualHelixParams, embed_batch, encode_batch
 from linecontrast.gradcheck import (
     _INCIDENCE,
     _helix_layer_case,
+    _primitive_cases,
     run_gradcheck,
 )
 from linecontrast.graphs import to_line_graph
@@ -24,10 +27,10 @@ from linecontrast.synth import random_molecular_graph
 
 
 def scalar_loss_sum_of_squares(tape, values):
+    """A watched column x and x^T x, with x^T gathered from x's rows side
+    by side."""
     x = tape.watch(values)
-    sq = ad.mul(x, x)
-    return x, ad.matmul(ad.matmul(ad.constant(np.ones((1, sq.shape[0]))), sq),
-                        ad.constant(np.ones((sq.shape[1], 1))))
+    return x, ad.matmul(ad.gather_rows(x, [np.arange(x.shape[0])]), x)
 
 
 class TestTensorBasics:
@@ -59,6 +62,13 @@ class TestForward:
         out = ad.gather_rows(ad.constant(m), [2, 0])
         assert np.array_equal(out.data, m[[2, 0]])
 
+    def test_gather_rows_by_pairs_sets_rows_side_by_side(self, rng):
+        m = rng.standard_normal((3, 4))
+        pairs = np.array([[2, 0], [1, 1], [0, 2]])
+        out = ad.gather_rows(ad.constant(m), pairs)
+        assert np.array_equal(out.data, np.hstack([m[pairs[:, 0]], m[pairs[:, 1]]]))
+        assert ad.gather_rows(ad.constant(m), pairs[:0]).shape == (0, 8)
+
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeMismatch, match=r"\(2, 3\).*\(3, 3\)"):
             ad.add(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((3, 3))))
@@ -89,22 +99,23 @@ class TestL2NormalizeRows:
 class TestBackward:
     def test_sum_of_squares_gradient(self):
         tape = Tape()
-        x, loss = scalar_loss_sum_of_squares(tape, np.array([[3.0]]))
+        x, loss = scalar_loss_sum_of_squares(tape, np.array([[3.0], [-0.5]]))
+        assert loss.item() == 9.25
         tape.backward(loss)
-        assert tape.grad(x)[0, 0] == pytest.approx(6.0, abs=1e-12)
+        assert np.array_equal(tape.grad(x), [[6.0], [-1.0]])
 
     def test_unreached_parameter_gets_zero(self):
         tape = Tape()
         used = tape.watch(np.array([[2.0]]))
         unused = tape.watch(np.array([[5.0]]))
-        loss = ad.mul(used, used)
+        loss = ad.matmul(used, used)
         tape.backward(loss)
         assert np.array_equal(tape.grad(unused), np.zeros((1, 1)))
 
     def test_reused_operand_accumulates(self):
         tape = Tape()
         x = tape.watch(np.array([[2.0]]))
-        loss = ad.add(ad.mul(x, x), ad.scale(x, 3.0))  # x^2 + 3x
+        loss = ad.add(ad.matmul(x, x), ad.scale(x, 3.0))  # x^2 + 3x
         tape.backward(loss)
         assert tape.grad(x)[0, 0] == pytest.approx(7.0, abs=1e-12)
 
@@ -112,7 +123,7 @@ class TestBackward:
         tape = Tape()
         x = tape.watch(np.ones((2, 2)))
         with pytest.raises(NotScalar):
-            tape.backward(ad.mul(x, x))
+            tape.backward(ad.matmul(x, x))
 
     def test_detached_loss_rejected(self):
         tape = Tape()
@@ -180,7 +191,7 @@ class TestRowScatterKernel:
         tape = Tape()
         x = tape.watch(x_val)
         loss = ad.matmul(ad.matmul(ad.constant(np.ones((1, 40))),
-                                   ad.mul(ad.gather_rows(x, idx), ad.constant(w))),
+                                   ad.scale(ad.gather_rows(x, idx), w)),
                          ad.constant(np.ones((d, 1))))
         tape.backward(loss)
         assert np.abs(tape.grad(x) - add_at_reference(w, idx, 12)).max() < 1e-12
@@ -216,7 +227,7 @@ def dense_neighbour_maps(edges, num_nodes, line):
 
 def weighted_sum(out, weights):
     return ad.matmul(ad.matmul(ad.constant(np.ones((1, out.shape[0]))),
-                               ad.mul(out, ad.constant(weights))),
+                               ad.scale(out, weights)),
                      ad.constant(np.ones((out.shape[1], 1))))
 
 
@@ -386,9 +397,11 @@ class TestGinMlp:
                                                 inject_bug="helix_layer")] == [False]
 
     def test_desk_step_records_one_node_per_layer_and_helix(self):
-        # 2 x depth helix_layer nodes: 53 tape nodes per training step and
+        # 2 x depth helix_layer nodes: 51 tape nodes per training step and
         # 22 primitive calls per embedding batch, down from 108 and 65 when
-        # the neighbour sums took five and six primitives of their own
+        # the neighbour sums took five and six primitives of their own, and
+        # from 53 when the edge-pair head gathered each endpoint on its own
+        # and concatenated them
         cfg = desk_train_config()
         graphs = [random_molecular_graph(i, (6, 24), 4) for i in range(cfg.batch_size)]
         batch = Batch.build([(g, to_line_graph(g)) for g in graphs])
@@ -396,7 +409,7 @@ class TestGinMlp:
         tape = Tape()
         compute_step_losses(batch, encode_batch(batch, params.watched(tape), cfg.encoder),
                             cfg.encoder)
-        assert len(tape._ops) == 53
+        assert len(tape._ops) == 51
         calls = []
         apply = ad._apply
 
@@ -408,6 +421,15 @@ class TestGinMlp:
             m.setattr(ad, "_apply", counted)
             embed_batch(batch, params.as_constants(), cfg.encoder)
         assert len(calls) == 22 and not any(calls)  # none of them taped
+
+
+def test_every_primitive_has_a_gradcheck_component_of_its_name():
+    # a public autodiff function that records through _apply is a primitive;
+    # the gradient suite checks each of them, and nothing else, by name
+    primitives = {name for name, fn in vars(ad).items()
+                  if inspect.isfunction(fn) and not name.startswith("_")
+                  and fn.__module__ == ad.__name__ and "_apply(" in inspect.getsource(fn)}
+    assert set(_primitive_cases(np.random.default_rng(0))) == primitives
 
 
 def test_gradcheck_reports_the_margin_below_the_floor():
@@ -596,14 +618,27 @@ class TestBroadcastRules:
         out = ad.add(ad.constant(np.zeros((2, 3))), ad.constant([[1.0, 2.0, 3.0]]))
         assert np.array_equal(out.data, [[1, 2, 3], [1, 2, 3]])
 
-    def test_add_col_broadcast_gradient_sums(self):
+    def test_add_col_operand_rejected(self):
+        with pytest.raises(ShapeMismatch, match=r"add: \(2, 3\) vs \(2, 1\)"):
+            ad.add(ad.constant(np.zeros((2, 3))), ad.constant(np.array([[1.0], [2.0]])))
+
+    @pytest.mark.parametrize("c", [2.0, [[2.0]], [[1.0, 2.0, 3.0]], [[1.0], [2.0]],
+                                   [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]],
+                             ids=["float", "1 x 1", "row", "column", "full"])
+    def test_scale_broadcasts_its_constant(self, rng, c):
+        x = rng.standard_normal((2, 3))
         tape = Tape()
-        col = tape.watch(np.array([[1.0], [2.0]]))
-        big = ad.add(ad.constant(np.zeros((2, 3))), col)
-        loss = ad.matmul(ad.matmul(ad.constant(np.ones((1, 2))), big),
-                         ad.constant(np.ones((3, 1))))
-        tape.backward(loss)
-        assert np.array_equal(tape.grad(col), [[3.0], [3.0]])
+        xt = tape.watch(x)
+        out = ad.scale(xt, np.asarray(c) if isinstance(c, list) else c)
+        assert np.array_equal(out.data, x * np.asarray(c))
+        g = rng.standard_normal((2, 3))
+        (got,) = tape._ops[0].backward(g)
+        assert np.array_equal(got, g * np.asarray(c))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (3, 3), (1, 2), (3, 1), (1, 1, 1)])
+    def test_scale_constant_must_broadcast(self, shape):
+        with pytest.raises(ShapeMismatch, match=r"scale: \(2, 3\) vs"):
+            ad.scale(ad.constant(np.zeros((2, 3))), np.ones(shape))
 
     def test_row_needs_full_left_operand(self):
         with pytest.raises(ShapeMismatch):

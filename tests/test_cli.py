@@ -349,7 +349,7 @@ class TestPretrainCommand:
         (["--beta", "inf"], "", "beta"),
         (["--learning-rate", "inf"], "", "learning_rate"),
         (["--seed", "-1"], "", "seed"),
-        (["--epochs", "many"], "", "flag --epochs: invalid literal for int()"),
+        (["--epochs", "many"], "", "flag --epochs: expected an int, got 'many'"),
         ([], "tau=nan\n", "tau"),
         ([], "seed=-2\n", "seed"),
         ([], "inclusive_denominator=true\n", "unknown key 'inclusive_denominator'"),
@@ -648,6 +648,66 @@ def test_any_checkpoint_exits_0_1_or_2_with_one_error_line_at_most(raw):
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     else:
         assert not any(entry.startswith("error:") for entry in lines), lines
+
+
+LONG_VALUE_ROUTES = ["config line without =", "unknown config key", "config key tau",
+                     "flag --edge-fusion", "flag --tau", "bench --sizes", "LINECONTRAST_LOG"]
+
+
+@pytest.mark.parametrize("route", LONG_VALUE_ROUTES)
+def test_a_long_value_gives_one_short_error_line(tmp_path, monkeypatch, capsys, route):
+    long = "x" * 100_000
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text({"config line without =": long, "unknown config key": long + "=1",
+                    "config key tau": "tau=" + long}.get(route, "") + "\n")
+    pretrain = ["pretrain", "--corpus", str(tmp_path / "absent.jsonl"), "--config", str(cfg),
+                "--out", str(tmp_path / "run")]
+    argv = {"flag --edge-fusion": [*pretrain, "--edge-fusion", long],
+            "flag --tau": [*pretrain, "--tau", long],
+            "bench --sizes": ["bench", "--mode", "transform", "--sizes", long]}.get(route, pretrain)
+    if route == "LINECONTRAST_LOG":
+        monkeypatch.setenv("LINECONTRAST_LOG", long)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(err[0].encode()) < 300, len(err[0].encode())
+
+
+# text a setting might be given: numbers of every kind, near-booleans, and
+# long runs of one character (digits among them)
+_SETTING_TEXT = st.one_of(
+    st.integers().map(str),
+    st.builds(lambda sign, digit, n: sign + digit * n, st.sampled_from(["", "-"]),
+              st.sampled_from("19"), st.integers(1, 6000)),
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "true", "False", "yes", "maybe", "None", "[]", "1e999", "-0",
+                     "0x10", "1_000", "1.5", "nan"]),
+    st.text(st.characters(codec="utf-8"), max_size=40),
+    st.builds(lambda c, n: c * n, st.characters(codec="utf-8"), st.integers(0, 100_000)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(settings_given=st.lists(st.tuples(st.sampled_from(sorted(cli._CONFIG_KEYS)),
+                                         _SETTING_TEXT, st.booleans()),
+                               min_size=1, max_size=3))
+def test_any_setting_exits_1_or_2_with_one_short_error_line(settings_given):
+    # the corpus is missing, so a valid configuration stops at its load
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value, in_file in settings_given
+                               if in_file), encoding="utf-8")
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value, in_file in settings_given
+                 if not in_file]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["pretrain", "--corpus", str(Path(tmp) / "absent.jsonl"),
+                         "--config", str(cfg), "--out", str(Path(tmp) / "run"), *flags])
+    lines = err.getvalue().splitlines()
+    assert code in (1, 2)
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "Traceback" not in err.getvalue()
+    assert all(len(line.encode()) < 300 for line in lines), [len(x) for x in lines]
 
 
 def test_every_package_exception_exits_with_one_error_line(monkeypatch, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linecontrast import encoder
-from linecontrast.autodiff import Incidence, Tape, constant
+from linecontrast.autodiff import Incidence, ShapeMismatch, Tape, constant
 from linecontrast.encoder import (
     DualHelixParams,
     EmptyGraph,
@@ -428,6 +428,18 @@ class TestParams:
         shapes = param_shapes(CFG)
         assert set(p.arrays) == set(shapes)
         assert all(tuple(p.arrays[k].shape) == shapes[k] for k in shapes)
+
+    @pytest.mark.parametrize("name, edit", [
+        ("proj.w1", lambda a: a.pop("proj.w1")),
+        ("proj.w3", lambda a: a.update({"proj.w3": np.zeros((32, 32))})),
+        ("proj.w1", lambda a: a.update({"proj.w1": np.zeros((3, 3))})),
+        ("edge_rep.b", lambda a: (a.clear(), a.update({"x": np.zeros((2, 2))}))),
+    ], ids=["missing", "unknown", "misshaped", "a lone array"])
+    def test_arrays_must_match_the_config_layout(self, name, edit):
+        arrays = dict(params_for().arrays)
+        edit(arrays)
+        with pytest.raises(ShapeMismatch, match=f"array {name} "):
+            DualHelixParams(CFG, 0, arrays)
 
     @pytest.mark.parametrize("fusion, count", [(True, 62), (False, 78)])
     def test_fusion_drops_the_edge_tables_of_layers_past_the_first(self, fusion, count):
