@@ -417,21 +417,22 @@ def l2_normalize_rows(x) -> Tensor:
 # would underflow every exp once tau is small. block_xent runs one
 # direction per block, on one padded stack per power-of-two width. Both
 # kernels follow one contract: forward forms the masked softmax once,
-# turns (softmax - onehot) into the gradients on a and b, and keeps only
-# those two E x d arrays; backward scales them by g / tau.
+# turns (softmax - onehot) into the gradients on a and b, keeps only those
+# two E x d arrays and records the mean over the k anchors; backward
+# scales them by g / (k tau).
 
 TILE_ENTRIES = 1 << 18  # similarity entries per row tile of group_xent
 
 
 def group_xent(a, b, group_ids, tau: float) -> tuple[Tensor | None, int]:
-    """Summed contrastive cross-entropy of s = a @ b.T read in both
+    """Mean contrastive cross-entropy of s = a @ b.T read in both
     directions, with the negatives of each anchor in the other groups.
 
     Rows of `a` and `b` are expected to be L2-normalised, so s holds cosine
     similarities, and `group_ids` gives each row's group in sorted order.
     Row i anchors with positive s_ii against the columns of other groups;
     column j anchors with positive s_jj against the rows of other groups.
-    Returns (sum over all 2E anchor terms as a 1 x 1 tensor, 2E), or
+    Returns (mean over all 2E anchor terms as a 1 x 1 tensor, 2E), or
     (None, 0) when every row is in one group. One tape node; it holds at
     most two row tiles of TILE_ENTRIES entries at a time.
     """
@@ -484,7 +485,7 @@ def group_xent(a, b, group_ids, tau: float) -> tuple[Tensor | None, int]:
     lse_col = np.log(col_sum) + col_max
 
     # pass 2: each row's log-sum-exp within its tile, and the gradient on s,
-    # P_row + P_col - 2 on the diagonal (times g / tau), carried to a and b
+    # P_row + P_col - 2 on the diagonal (times g / (k tau)), carried to a and b
     lse_row = np.empty(n)
     ga = np.empty_like(a_data)
     gb_t = np.zeros((a.shape[1], n))
@@ -505,18 +506,19 @@ def group_xent(a, b, group_ids, tau: float) -> tuple[Tensor | None, int]:
         np.matmul(e, b_data, out=ga[r0:r1])
         gb_t += a_data[r0:r1].T @ e
     total = float((lse_row - diag).sum()) + float((lse_col - diag).sum())
+    k = 2 * n
 
     def backward(g):
-        c = float(g[0, 0]) / tau
+        c = float(g[0, 0]) * (1.0 / k) / tau
         return ga * c, gb_t.T * c
 
-    return _apply(_tape_of(a, b), np.array([[total]]), (a, b), backward), 2 * n
+    return _apply(_tape_of(a, b), np.array([[total * (1.0 / k)]]), (a, b), backward), k
 
 
 def block_xent(a, b, offsets: np.ndarray, tau: float) -> tuple[Tensor | None, int]:
-    """One-direction contrastive cross-entropy of a @ b.T restricted to the
-    diagonal blocks that `offsets` cuts out, without forming the off-block
-    entries.
+    """Mean one-direction contrastive cross-entropy of a @ b.T restricted
+    to the diagonal blocks that `offsets` cuts out, without forming the
+    off-block entries.
 
     Rows offsets[g]:offsets[g + 1] of `a` and `b` form block g; rows are
     expected to be L2-normalised, so the products are cosine similarities.
@@ -525,8 +527,10 @@ def block_xent(a, b, offsets: np.ndarray, tau: float) -> tuple[Tensor | None, in
     least power of two at or above its size, so padding stays within 4 x
     the sum of squared block sizes however skewed the sizes are. One
     batched matmul per stack gives its blocks' similarities; padding never
-    enters a sum. Blocks of one row have no negatives and drop out. One tape node; the padded stacks are
-    freed in forward and only the gradients on a and b are kept.
+    enters a sum. Blocks of one row have no negatives and drop out.
+    Returns (mean over the k kept anchors as a 1 x 1 tensor, k), or
+    (None, 0) when no block has two rows. One tape node; the padded stacks
+    are freed in forward and only the gradients on a and b are kept.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
@@ -554,6 +558,7 @@ def block_xent(a, b, offsets: np.ndarray, tau: float) -> tuple[Tensor | None, in
         a_pad[i, j] = a.data[rows]
         b_pad[i, j] = b.data[rows]
         x = a_pad @ b_pad.transpose(0, 2, 1)  # similarities, worked on in place
+        x *= 1.0 / tau
         check_finite(x, "similarity")
         valid = np.arange(width) < n
         keep = valid & (n > 1)
@@ -561,7 +566,6 @@ def block_xent(a, b, offsets: np.ndarray, tau: float) -> tuple[Tensor | None, in
         # an anchor sums over the other rows of its block
         masked = ~(valid[:, :, None] & valid[:, None, :])
         masked[:, d, d] = True
-        x *= 1.0 / tau
         pos = x[:, d, d][keep]
         np.copyto(x, -np.inf, where=masked)
         shift = x.max(axis=-1, keepdims=True)
@@ -580,10 +584,10 @@ def block_xent(a, b, offsets: np.ndarray, tau: float) -> tuple[Tensor | None, in
         return None, 0
 
     def backward(g):
-        c = float(g[0, 0]) / tau
+        c = float(g[0, 0]) * (1.0 / k) / tau
         return ga * c, gb * c
 
-    return _apply(_tape_of(a, b), np.array([[total]]), (a, b), backward), k
+    return _apply(_tape_of(a, b), np.array([[total * (1.0 / k)]]), (a, b), backward), k
 
 
 # --- Adam ---------------------------------------------------------------------

@@ -158,10 +158,9 @@ def cmd_pretrain(args) -> int:
     file_values = read_kv_config(args.config) if args.config else {}
     flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
     cfg = resolve_train_config(args.preset, file_values, flags)
-    _banner("pretrain", cfg, corpus=str(args.corpus), out=str(args.out),
-            resume=bool(args.resume))
+    # every input is read before the banner and --out, so a bad one leaves
+    # neither behind
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.bin"
     init = None
     if args.resume:
@@ -169,6 +168,9 @@ def cmd_pretrain(args) -> int:
             raise ConfigError(f"--resume given but {ckpt_path} does not exist")
         init = load_training_checkpoint(ckpt_path)
     corpus = load_corpus(args.corpus)
+    _banner("pretrain", cfg, corpus=str(args.corpus), out=str(args.out),
+            resume=bool(args.resume))
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = pretrain(corpus, cfg, metrics_path=out_dir / "metrics.jsonl", init=init)
     save_training_checkpoint(ckpt_path, result)
     for epoch, mean in result.epoch_means.items():

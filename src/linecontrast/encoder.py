@@ -98,6 +98,11 @@ class EncoderConfig:
         # the comparisons are False for NaN, so NaN fails them too
         if not 0 < self.tau < inf:
             raise ValueError(f"tau must be positive and finite, got {reprlib.repr(self.tau)}")
+        # the loss kernels scale the similarities by 1 / tau; the int 1
+        # divides an int tau too large for a float without overflow
+        if not 1 / self.tau < inf:
+            raise ValueError(f"tau must be large enough for 1 / tau to be finite, "
+                             f"got {reprlib.repr(self.tau)}")
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not 0 <= value < inf:

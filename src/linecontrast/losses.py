@@ -5,8 +5,10 @@ a log-sum-exp over the anchor's negative logits, at temperature tau. The
 positive never enters that denominator, as in GraphCL's loss (You et al.,
 NeurIPS 2020), so the losses can be negative.
 
-Per-anchor terms are averaged, not summed, so the combination weights are
-independent of batch size.
+Each loss L2-normalises its two inputs and makes one call to a fused
+kernel of autodiff, which checks the shapes and the similarities and
+returns the mean over the anchors: per-anchor terms are averaged, not
+summed, so the combination weights are independent of batch size.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from .autodiff import (
     NonFinite,
     Tensor,
     block_xent,
-    check_finite,
     gather_rows,  # noqa: F401  -- perfbench/hooks.py times losses.gather_rows
     group_xent,
     l2_normalize_rows,
-    scale,
 )
 
 if TYPE_CHECKING:
@@ -55,15 +55,13 @@ def nt_xent(z1: Tensor, z2: Tensor, tau: float) -> tuple[Tensor, int]:
 
     Evaluated in both directions (each view's rows anchor against the other
     view's negatives) and averaged over all 2N anchor terms. Negatives are
-    the other rows only.
+    the other rows only, so a batch needs two rows.
     """
-    if z1.shape != z2.shape:
-        raise ValueError(f"view shapes differ: {z1.shape} vs {z2.shape}")
-    n = z1.shape[0]
-    if n < 2:
-        raise BatchTooSmall(f"need at least 2 rows, got {n}")
-    total, k = group_xent(l2_normalize_rows(z1), l2_normalize_rows(z2), np.arange(n), tau)
-    return scale(total, 1.0 / k), k
+    loss, k = group_xent(l2_normalize_rows(z1), l2_normalize_rows(z2),
+                         np.arange(z1.shape[0]), tau)
+    if loss is None:
+        raise BatchTooSmall(f"need at least 2 rows, got {z1.shape[0]}")
+    return loss, k
 
 
 def intra_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
@@ -73,19 +71,13 @@ def intra_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
 
     Row i of both arguments refers to the same source edge. Negatives are
     drawn from the same graph only and anchors run one direction (edge
-    representations against line-node states). Graphs with a single edge
-    contribute nothing. Only the same-graph similarity blocks are formed,
-    so the cost is the sum of squared graph edge counts, not E x E.
+    representations against line-node states), averaged over the anchors.
+    Graphs with a single edge contribute nothing; (None, 0) when no graph
+    has two. Only the same-graph similarity blocks are formed, so the cost
+    is the sum of squared graph edge counts, not E x E.
     """
-    if edge_repr.shape != line_repr.shape:
-        raise ValueError(f"row-aligned inputs required: {edge_repr.shape} vs {line_repr.shape}")
-    total, k = block_xent(l2_normalize_rows(edge_repr), l2_normalize_rows(line_repr),
-                         edge_offsets, tau)
-    if total is None:
-        return None, 0
-    loss = scale(total, 1.0 / k)
-    check_finite(loss.data, "loss")
-    return loss, k
+    return block_xent(l2_normalize_rows(edge_repr), l2_normalize_rows(line_repr),
+                      edge_offsets, tau)
 
 
 def inter_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
@@ -96,14 +88,12 @@ def inter_local(edge_repr: Tensor, line_repr: Tensor, edge_offsets: np.ndarray,
     line-nodes of the other graphs in the batch; evaluated in both
     directions and averaged over all anchor terms.
     """
-    if edge_repr.shape != line_repr.shape:
-        raise ValueError(f"row-aligned inputs required: {edge_repr.shape} vs {line_repr.shape}")
     sizes = np.diff(edge_offsets)
-    total, k = group_xent(l2_normalize_rows(edge_repr), l2_normalize_rows(line_repr),
-                          np.repeat(np.arange(sizes.size), sizes), tau)
-    if total is None:
+    loss, k = group_xent(l2_normalize_rows(edge_repr), l2_normalize_rows(line_repr),
+                         np.repeat(np.arange(sizes.size), sizes), tau)
+    if loss is None:
         raise BatchTooSmall(f"need edges in at least 2 graphs, got {np.count_nonzero(sizes)}")
-    return scale(total, 1.0 / k), k
+    return loss, k
 
 
 def combine(l_graph: float, l_intra: float, l_inter: float, cfg: EncoderConfig,

@@ -80,10 +80,6 @@ class Batch:
     def num_nodes(self) -> int:
         return int(self.node_offsets[-1])
 
-    @property
-    def num_edges(self) -> int:
-        return int(self.edge_offsets[-1])
-
     @classmethod
     def build(cls, pairs: list[tuple[MolecularGraph, LineGraphView]]) -> "Batch":
         """Stack the graphs of `pairs` into one disjoint union.

@@ -7,6 +7,7 @@ from linecontrast import autodiff as ad
 from linecontrast.autodiff import (
     AdamState,
     DetachedTensor,
+    NonFinite,
     NotScalar,
     ShapeMismatch,
     Tape,
@@ -397,11 +398,12 @@ class TestGinMlp:
                                                 inject_bug="helix_layer")] == [False]
 
     def test_desk_step_records_one_node_per_layer_and_helix(self):
-        # 2 x depth helix_layer nodes: 51 tape nodes per training step and
+        # 2 x depth helix_layer nodes: 48 tape nodes per training step and
         # 22 primitive calls per embedding batch, down from 108 and 65 when
-        # the neighbour sums took five and six primitives of their own, and
-        # from 53 when the edge-pair head gathered each endpoint on its own
-        # and concatenated them
+        # the neighbour sums took five and six primitives of their own, from
+        # 53 when the edge-pair head gathered each endpoint on its own and
+        # concatenated them, and from 51 when each loss scaled its kernel's
+        # sum by 1/k on a node of its own
         cfg = desk_train_config()
         graphs = [random_molecular_graph(i, (6, 24), 4) for i in range(cfg.batch_size)]
         batch = Batch.build([(g, to_line_graph(g)) for g in graphs])
@@ -409,7 +411,7 @@ class TestGinMlp:
         tape = Tape()
         compute_step_losses(batch, encode_batch(batch, params.watched(tape), cfg.encoder),
                             cfg.encoder)
-        assert len(tape._ops) == 51
+        assert len(tape._ops) == 48
         calls = []
         apply = ad._apply
 
@@ -473,13 +475,15 @@ class TestMaskedXent:
         ids = np.array([0, 0, 1, 3, 3])
         tape = Tape()
         ta, tb = tape.watch(a), tape.watch(b)
-        total, count = ad.group_xent(ta, tb, ids, 0.5)
-        tape.backward(total)
+        mean, count = ad.group_xent(ta, tb, ids, 0.5)
+        tape.backward(mean)
         want_total, want_count, want_ga, want_gb = two_direction_reference(a, b, ids, 0.5)
         assert count == want_count == 10
-        assert abs(total.item() - want_total) < 1e-12
-        assert np.abs(tape.grad(ta) - want_ga).max() < 1e-12
-        assert np.abs(tape.grad(tb) - want_gb).max() < 1e-12
+        # the kernel returns the mean over its anchors, so its gradients
+        # are the reference's over the count
+        assert abs(mean.item() - want_total / count) < 1e-12
+        assert np.abs(tape.grad(ta) - want_ga / count).max() < 1e-12
+        assert np.abs(tape.grad(tb) - want_gb / count).max() < 1e-12
 
     def test_no_negatives_anywhere_gives_none(self):
         x = ad.constant(np.eye(3))
@@ -489,6 +493,18 @@ class TestMaskedXent:
         x = ad.constant(np.eye(3))
         with pytest.raises(ShapeMismatch):
             ad.group_xent(x, x, np.array([0, 1, 0]), 0.5)
+
+    @pytest.mark.parametrize("kernel, layout", [
+        (ad.group_xent, np.arange(3)),
+        (ad.block_xent, np.array([0, 3])),
+    ], ids=["group_xent", "block_xent"])
+    def test_overflowing_scaled_similarity_raises(self, kernel, layout):
+        # s = 16 on the diagonal, so s / tau overflows at tau = 1e-308 while
+        # 1 / tau is finite
+        x = ad.constant(4.0 * np.eye(3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFinite, match="similarity"):
+                kernel(x, x, layout, 1e-308)
 
     def test_block_offsets_must_cover_the_rows(self):
         x = ad.constant(np.eye(3))

@@ -66,11 +66,12 @@ SETTING_VALUES = {
 
 def pretrain_banner(tmp_path, capsys, *extra) -> dict:
     """The resolved configuration `pretrain` echoes for `extra`; the corpus
-    does not exist, so the run stops with exit 2 right after its banner."""
-    code = main(["pretrain", "--corpus", str(tmp_path / "missing.jsonl"),
-                 "--out", str(tmp_path / "run"), *extra])
+    is empty, so the run stops with exit 1 right after its banner."""
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("")
+    code = main(["pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "run"), *extra])
     out = capsys.readouterr().out.splitlines()
-    assert code == 2 and len(out) == 1, out
+    assert code == 1 and len(out) == 1, out
     return json.loads(out[0].removeprefix("[pretrain] config: "))
 
 
@@ -235,6 +236,19 @@ class TestPretrainCommand:
         assert "epoch=0 mean_total_loss=" in text
         assert '"encoder.hidden_dim": 16' in text  # banner echoes resolved config
 
+    @pytest.mark.parametrize("resume", [False, True], ids=["missing corpus",
+                                                         "resume without checkpoint"])
+    def test_unreadable_input_exits_2_and_leaves_no_out_dir(self, tmp_path, capsys, resume):
+        # resuming, the corpus is fine and the output directory has no checkpoint
+        corpus = write_corpus(tmp_path) if resume else tmp_path / "absent.jsonl"
+        code, out_dir = self.run_pretrain(tmp_path, corpus, *(["--resume"] if resume else []))
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert captured.out == ""  # no banner
+        assert not out_dir.exists()
+
     def test_fresh_run_into_an_old_out_dir_starts_the_metrics_over(self, tmp_path):
         corpus = write_corpus(tmp_path)
         code, out_dir = self.run_pretrain(tmp_path, corpus)
@@ -346,6 +360,7 @@ class TestPretrainCommand:
     @pytest.mark.parametrize("flags, config, names", [
         (["--alpha", "nan"], "", "alpha"),
         (["--tau", "inf"], "", "tau"),
+        (["--tau", "1e-310"], "", "tau must be large enough for 1 / tau to be finite"),
         (["--beta", "inf"], "", "beta"),
         (["--learning-rate", "inf"], "", "learning_rate"),
         (["--seed", "-1"], "", "seed"),
@@ -356,8 +371,8 @@ class TestPretrainCommand:
         ([], "shuffle=false\n", "unknown key 'shuffle'"),
         ([], "readout=mean\n", "unknown key 'readout'"),
         ([], "epochs=1\n# again\nepochs=2\n", "run.cfg:3: key 'epochs' repeats line 1"),
-    ], ids=["alpha nan", "tau inf", "beta inf", "learning rate inf", "seed negative",
-            "epochs not an int",
+    ], ids=["alpha nan", "tau inf", "tau reciprocal overflows", "beta inf",
+            "learning rate inf", "seed negative", "epochs not an int",
             "config tau nan", "config seed negative", "config inclusive_denominator",
             "config shuffle", "config readout", "config key repeated"])
     def test_bad_setting_exits_2_before_any_output(self, tmp_path, capsys, flags, config,
@@ -558,6 +573,7 @@ CORRUPTIONS = {
     "hidden_dim 2**30 with its table": _edited_header(_hidden_dim_2_30_with_its_table),
     "trailing bytes": lambda raw: raw + b"\x00",
     "config tau NaN": _edited_header(lambda h: h["config"].update(tau=float("nan"))),
+    "config tau 1e-310": _edited_header(lambda h: h["config"].update(tau=1e-310)),
     "depth 2.5": _edited_header(lambda h: h["config"].update(depth=2.5)),
     "depth true": _edited_header(lambda h: h["config"].update(depth=True)),
     "edge_fusion yes": _edited_header(lambda h: h["config"].update(edge_fusion="yes")),

@@ -438,7 +438,8 @@ class TestGradients:
 class TestLossConfig:
     def test_rejects_bad_values(self):
         # the loss settings combine reads live on EncoderConfig: tau
-        # positive, alpha and beta non-negative, all finite
+        # positive, alpha and beta non-negative, all finite, and 1 / tau
+        # finite too
         with pytest.raises(ValueError):
             EncoderConfig(tau=0.0)
         with pytest.raises(ValueError):
@@ -447,6 +448,8 @@ class TestLossConfig:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"^{name} must be .* finite, got {value}$"):
                     EncoderConfig(**{name: value})
+        with pytest.raises(ValueError, match="^tau must be .* finite, got 1e-310$"):
+            EncoderConfig(tau=1e-310)
 
 
 class TestLossReport:

@@ -58,7 +58,7 @@ class TestBatch:
         batch = Batch.build([(g, to_line_graph(g)) for g in graphs])
         assert len(batch.node_offsets) - 1 == 3
         assert batch.num_nodes == sum(g.num_nodes for g in graphs)
-        assert batch.num_edges == sum(g.num_edges for g in graphs)
+        assert batch.edge_offsets[-1] == sum(g.num_edges for g in graphs)
         assert batch.node_offsets[0] == 0 and batch.node_offsets[-1] == batch.num_nodes
 
     def test_line_rows_align_with_edges(self):
