@@ -634,6 +634,9 @@ class FlatLayout:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# the largest gradient magnitude adam_step takes: its square is a quarter
+# of the float64 maximum, so v and v_hat stay finite after rounding
+_GRAD_LIMIT = math.sqrt(np.finfo(np.float64).max) / 2
 
 
 @dataclass
@@ -678,11 +681,13 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     `params` by the flat gradient `grads`, both in `state.layout` order, in
     place and deterministic.
 
-    Both sizes are checked before anything changes: a failed step raises
-    ShapeMismatch and leaves parameters, moments and the step counter as
-    they were. `grads` is then overwritten as scratch. Whole-buffer ufuncs
-    compute, element by element and bit for bit as a per-array update
-    would, m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    Both sizes are checked before anything changes, and so is every
+    gradient's magnitude: a failed step raises ShapeMismatch, or NonFinite
+    for a gradient that is NaN or above _GRAD_LIMIT (where the second
+    moment would overflow), and leaves parameters, moments and the step
+    counter as they were. `grads` is then overwritten as scratch.
+    Whole-buffer ufuncs compute, element by element and bit for bit as a
+    per-array update would, m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
     p -= (lr m_hat) / (sqrt(v_hat) + eps), with b1, b2 and eps the ADAM_*
     constants. The step counter advances by one.
     """
@@ -690,6 +695,10 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         raise ShapeMismatch(f"adam_step: parameters {params.shape} and gradients "
                             f"{grads.shape} vs moments {state.m.shape}")
     g, s = grads, state._scratch
+    worst = np.abs(g, out=s).max(initial=0.0)
+    if not worst <= _GRAD_LIMIT:  # NaN fails the comparison
+        raise NonFinite(f"adam_step: the second moment would overflow (largest "
+                        f"|gradient| {worst:.3g}, limit {_GRAD_LIMIT:.3g})")
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2

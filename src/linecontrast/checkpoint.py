@@ -111,7 +111,8 @@ def _check_header(header) -> tuple[EncoderConfig, FlatLayout, dict]:
 def load_checkpoint(path) -> tuple[DualHelixParams, AdamState, int, int]:
     """The parameters, Adam's state, the step and the completed epochs,
     from one read of the data; ConfigMismatch, one line, for any file the
-    module docstring does not describe or whose values fail a check."""
+    module docstring does not describe or whose values fail a check,
+    non-finite data included."""
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
@@ -128,6 +129,10 @@ def load_checkpoint(path) -> tuple[DualHelixParams, AdamState, int, int]:
         if fh.tell() != end:
             raise ConfigMismatch("trailing bytes after the last parameter")
     flat, m, v = np.frombuffer(raw, dtype="<f8").reshape(3, layout.size)
+    for prefix, buf in zip(_PREFIXES, (flat, m, v)):
+        if not np.isfinite(buf).all():
+            name = next(n for n, a in layout.views(buf).items() if not np.isfinite(a).all())
+            raise ConfigMismatch(f"checkpoint data {prefix}{name} holds NaN or inf")
     params = DualHelixParams(config=config, seed=meta["seed"], arrays=layout.views(flat))
     opt = AdamState(layout, learning_rate=meta["learning_rate"], step=meta["adam_step"],
                     m=m.astype(np.float64), v=v.astype(np.float64))

@@ -180,11 +180,15 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
+def _at_least(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
+
+
 def cmd_gradcheck(args) -> int:
-    _banner("gradcheck", seed=args.seed, tolerance=args.tolerance,
-            inject_bug=args.inject_bug)
-    results = gradcheck_mod.run_gradcheck(seed=args.seed, tolerance=args.tolerance,
-                                          inject_bug=args.inject_bug)
+    _at_least("--seed", args.seed, 0)
+    _banner("gradcheck", seed=args.seed)
+    results = gradcheck_mod.run_gradcheck(seed=args.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -193,7 +197,8 @@ def cmd_gradcheck(args) -> int:
     if failed:
         print(f"[gradcheck] FAILED components: {', '.join(r.name for r in failed)}")
         return 1
-    print(f"[gradcheck] all {len(results)} components within {args.tolerance:g}")
+    print(f"[gradcheck] all {len(results)} components within "
+          f"{gradcheck_mod.DEFAULT_TOLERANCE:g}")
     return 0
 
 
@@ -223,22 +228,12 @@ def _bench_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _at_least(flag: str, value: int, minimum: int) -> None:
-    if value < minimum:
-        raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
-
-
 def cmd_bench(args) -> int:
     _at_least("--seed", args.seed, 0)
     if args.mode == "transform":
-        # the transform corpus has 10-20 nodes per graph, which a degree
-        # cap below 2 cannot connect
-        _at_least("--degree-cap", args.degree_cap, 2)
         sizes = _bench_sizes(args.sizes)
-        _banner("bench", mode=args.mode, sizes=list(sizes),
-                degree_cap=args.degree_cap, seed=args.seed)
-        report = bench_mod.bench_transform(graph_counts=sizes, degree_cap=args.degree_cap,
-                                           seed=args.seed)
+        _banner("bench", mode=args.mode, sizes=list(sizes), seed=args.seed)
+        report = bench_mod.bench_transform(graph_counts=sizes, seed=args.seed)
         for line in report.lines():
             print(f"[bench] {line}")
         return 0
@@ -281,9 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient validation")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=gradcheck_mod.DEFAULT_TOLERANCE)
-    p.add_argument("--inject-bug", dest="inject_bug", metavar="COMPONENT",
-                   help="testing hook: corrupt one component's analytic gradient")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("embed", help="embed a corpus with a trained checkpoint")
@@ -296,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("transform", "train-step"), required=True)
     p.add_argument("--sizes", default="10000,20000,40000",
                    help="comma-separated corpus sizes for transform mode")
-    p.add_argument("--degree-cap", dest="degree_cap", type=int, default=4)
     p.add_argument("--graphs", type=int, default=48, help="corpus size for train-step mode")
     p.add_argument("--batch-size", dest="batch_size", type=int, default=16)
     p.add_argument("--steps", type=int, default=4)

@@ -37,9 +37,9 @@ def random_molecular_graph(
     deg = np.zeros(n, dtype=np.int64)
     edges: set[tuple[int, int]] = set()
     for v in range(1, n):
+        # nonempty: the tree on 0..v-1 has degree sum 2(v - 1) < 2v, so
+        # some node is below a cap of 2 or more
         candidates = np.flatnonzero(deg[:v] < degree_cap)
-        if candidates.size == 0:
-            raise ValueError("degree cap too small for a spanning tree")
         u = int(candidates[rng.integers(0, candidates.size)])
         edges.add((u, v))
         deg[u] += 1

@@ -67,6 +67,17 @@ def bruteforce_line_edges(g: MolecularGraph) -> set[tuple[int, int, int]]:
     return out
 
 
+def corrupted(analytic_grads):
+    """`analytic_grads` (gradcheck's) with 1e-2 added to the gradient of
+    each case's first array: a wrong gradient rule the gate must fail."""
+    def corrupt(build, arrays):
+        grads = analytic_grads(build, arrays)
+        first = next(iter(grads))
+        grads[first] = grads[first] + 1e-2
+        return grads
+    return corrupt
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

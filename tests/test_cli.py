@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linecontrast
-from linecontrast import cli
+from linecontrast import cli, gradcheck
 from linecontrast.autodiff import AdamState
 from linecontrast.cli import main, read_kv_config, resolve_train_config
 from linecontrast.encoder import DualHelixParams, EncoderConfig, param_shapes
@@ -31,7 +31,12 @@ from linecontrast.pipeline import (
 )
 from linecontrast.synth import random_molecular_graph
 
-from conftest import NON_INTEGER_RECORDS, read_checkpoint_tables, write_checkpoint_tables
+from conftest import (
+    NON_INTEGER_RECORDS,
+    corrupted,
+    read_checkpoint_tables,
+    write_checkpoint_tables,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -426,6 +431,18 @@ class TestPretrainCommand:
         assert len(err) == 1 and err[0].startswith("error: step 0: l_total")
         assert read_metrics(out_dir) == []
 
+    @pytest.mark.filterwarnings("error")
+    def test_gradient_that_would_overflow_adam_names_the_step(self, tmp_path, capsys):
+        # finite losses near 1 / tau, but gradients of that order would
+        # overflow Adam's second moment
+        corpus = write_corpus(tmp_path)
+        code, out_dir = self.run_pretrain(tmp_path, corpus, "--tau", "1e-300")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: step 0: adam_step: ")
+        assert read_metrics(out_dir) == []
+        assert not (out_dir / "checkpoint.bin").exists()
+
     def test_resume_without_checkpoint_exits_2(self, tmp_path):
         corpus = write_corpus(tmp_path)
         code = main(["pretrain", "--corpus", str(corpus), "--out",
@@ -454,20 +471,43 @@ class TestPretrainCommand:
 
 
 class TestGradcheckCommand:
-    def test_default_run_passes(self, capsys):
-        assert main(["gradcheck", "--seed", "0"]) == 0
-        text = capsys.readouterr().out
-        assert "objective: max_rel_err=" in text and " max_abs_err=" in text
-        assert "FAIL" not in text
+    # a few fast components stand in for the full suite, which c05 runs
+    SUBSET = ["add", "relu", "nt_xent"]
 
-    def test_injected_bug_fails_naming_component(self, capsys):
-        assert main(["gradcheck", "--seed", "0", "--inject-bug", "relu"]) == 1
+    def gate(self, monkeypatch, corrupt=()):
+        """Put a stand-in for run_gradcheck behind the CLI: it runs SUBSET
+        one component at a time, those in `corrupt` on a corrupted analytic
+        gradient. Returns the list of seeds the CLI passes it."""
+        seeds = []
+        run, exact = gradcheck.run_gradcheck, gradcheck._analytic_grads
+
+        def subset(seed):
+            seeds.append(seed)
+            results = []
+            for name in self.SUBSET:
+                monkeypatch.setattr(gradcheck, "_analytic_grads",
+                                    corrupted(exact) if name in corrupt else exact)
+                results += run(seed, components=[name])
+            return results
+
+        monkeypatch.setattr(gradcheck, "run_gradcheck", subset)
+        return seeds
+
+    def test_default_run_passes(self, capsys, monkeypatch):
+        seeds = self.gate(monkeypatch)
+        assert main(["gradcheck"]) == 0
+        assert seeds == [0]
+        text = capsys.readouterr().out
+        assert "nt_xent: max_rel_err=" in text and " max_abs_err=" in text
+        assert "FAIL" not in text
+        assert text.splitlines()[-1] == "[gradcheck] all 3 components within 0.0001"
+
+    def test_injected_bug_fails_naming_component(self, capsys, monkeypatch):
+        self.gate(monkeypatch, corrupt={"relu"})
+        assert main(["gradcheck", "--seed", "0"]) == 1
         text = capsys.readouterr().out
         assert "relu: max_rel_err=" in text
-        assert "FAILED components: relu" in text
-
-    def test_unknown_component_exits_1(self):
-        assert main(["gradcheck", "--inject-bug", "florp"]) == 1
+        assert text.splitlines()[-1] == "[gradcheck] FAILED components: relu"
 
 
 class TestEmbedCommand:
@@ -527,6 +567,16 @@ def _edited_header(edit):
     return corrupt
 
 
+def _data_entry(buffer: int, value: float):
+    """A corruption that sets the first float64 of data buffer `buffer`
+    (0 the parameters, 1 and 2 Adam's m and v) to `value`."""
+    def corrupt(raw: bytes) -> bytes:
+        (size,) = struct.unpack("<I", raw[8:12])
+        at = 12 + size + buffer * ((len(raw) - 12 - size) // 3)
+        return raw[:at] + struct.pack("<d", value) + raw[at + 8:]
+    return corrupt
+
+
 def _negative_first_dimension(header):
     header["params"][0][1][0] = -1
 
@@ -580,6 +630,9 @@ CORRUPTIONS = {
     "readout sum": _edited_header(lambda h: h["config"].update(readout="sum")),
     "seed -1": _edited_header(lambda h: h["meta"].update(seed=-1)),
     "header nested 100000 deep": _replaced_header(b"[" * 100_000 + b"]" * 100_000),
+    "parameter NaN": _data_entry(0, float("nan")),
+    "moment m -inf": _data_entry(1, -float("inf")),
+    "moment v inf": _data_entry(2, float("inf")),
 }
 
 
@@ -608,6 +661,19 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("prefix", ["model.", "opt.m.", "opt.v."])
+    def test_non_finite_data_names_its_array(self, tmp_path, checkpoint, capsys, prefix):
+        header, arrays = read_checkpoint_tables(checkpoint)
+        arrays = {k: a.copy() for k, a in arrays.items()}
+        arrays[prefix + "graph.embed.atomic"][1, 2] = np.nan
+        write_checkpoint_tables(checkpoint, header, arrays)
+        corpus = write_corpus(tmp_path, n=3)
+        assert main(["embed", "--corpus", str(corpus), "--ckpt", str(checkpoint),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: checkpoint data {prefix}graph.embed.atomic holds NaN or inf"]
+        assert not (tmp_path / "o").exists()
 
 
 @functools.cache
@@ -742,32 +808,33 @@ def test_every_package_exception_exits_with_one_error_line(monkeypatch, capsys):
         assert capsys.readouterr().err.splitlines() == ["error: boom"], cls
 
 
-BAD_BENCH_FLAGS = {
-    "zero steps": ["--mode", "train-step", "--steps", "0"],
-    "fewer graphs than a batch": ["--mode", "train-step", "--graphs", "4", "--batch-size", "16"],
-    "batch of one": ["--mode", "train-step", "--graphs", "4", "--batch-size", "1"],
-    "negative seed": ["--mode", "train-step", "--seed", "-1"],
-    "one size": ["--mode", "transform", "--sizes", "10"],
-    "size zero": ["--mode", "transform", "--sizes", "0,10"],
-    "repeated size": ["--mode", "transform", "--sizes", "10,10"],
-    "size not an integer": ["--mode", "transform", "--sizes", "10,x"],
-    "degree cap one": ["--mode", "transform", "--sizes", "10,20", "--degree-cap", "1"],
+# the diagnostic commands check their numbers before the banner
+BAD_FLAGS = {
+    "zero steps": ["bench", "--mode", "train-step", "--steps", "0"],
+    "fewer graphs than a batch": ["bench", "--mode", "train-step", "--graphs", "4",
+                                  "--batch-size", "16"],
+    "batch of one": ["bench", "--mode", "train-step", "--graphs", "4", "--batch-size", "1"],
+    "negative seed": ["bench", "--mode", "train-step", "--seed", "-1"],
+    "one size": ["bench", "--mode", "transform", "--sizes", "10"],
+    "size zero": ["bench", "--mode", "transform", "--sizes", "0,10"],
+    "repeated size": ["bench", "--mode", "transform", "--sizes", "10,10"],
+    "size not an integer": ["bench", "--mode", "transform", "--sizes", "10,x"],
+    "gradcheck negative seed": ["gradcheck", "--seed", "-1"],
 }
 
 
 class TestBenchCommand:
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("kind", sorted(BAD_BENCH_FLAGS))
+    @pytest.mark.parametrize("kind", sorted(BAD_FLAGS))
     def test_bad_flag_exits_2_with_one_line(self, capsys, kind):
-        assert main(["bench", *BAD_BENCH_FLAGS[kind]]) == 2
+        assert main(BAD_FLAGS[kind]) == 2
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_transform_mode_reports_exponent(self, capsys):
-        assert main(["bench", "--mode", "transform", "--sizes", "60,120",
-                     "--degree-cap", "4", "--seed", "0"]) == 0
+        assert main(["bench", "--mode", "transform", "--sizes", "60,120", "--seed", "0"]) == 0
         text = capsys.readouterr().out
         assert "fitted_exponent=" in text
 
