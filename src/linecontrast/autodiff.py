@@ -3,9 +3,10 @@ gradients, plus an Adam optimizer over flat parameter buffers.
 
 Values are matrices; vectors are stored as 1 x d or n x 1, scalars as
 1 x 1. A Tape records primitive applications in execution order, which is
-a topological order, so backward replays the record once in reverse. A
-tape is meant to live for a single training step and be discarded after
-backward.
+a topological order, so backward replays the record once in reverse,
+popping each node as it runs it: a node's saved arrays are freed as soon
+as its gradients have moved on, and the consumed tape takes no second
+backward. A tape lives for a single training step.
 
 Broadcasting is limited: the second operand of add may be a 1 x m row
 against an n x m left operand, its gradient summed over the rows, and the
@@ -91,7 +92,8 @@ class _Node:
 
 
 class Tape:
-    """Execution-ordered record of primitive applications."""
+    """Execution-ordered record of primitive applications, consumed by its
+    one backward()."""
 
     def __init__(self):
         self._ops: list[_Node] = []
@@ -111,13 +113,19 @@ class Tape:
         return t
 
     def backward(self, loss: Tensor) -> None:
-        """Populate gradients for every slot reachable from `loss`."""
+        """Populate gradients for every slot reachable from `loss`, popping
+        each node off the record as it runs, so the record ends empty and a
+        second call raises DetachedTensor."""
         if loss.tape is not self or loss.slot < 0:
             raise DetachedTensor("loss was not computed on this tape")
         if loss.shape != (1, 1):
             raise NotScalar(f"loss must have shape (1, 1), got {loss.shape}")
+        if self._grads is not None:
+            raise DetachedTensor("backward() has already consumed this tape")
         grads: dict[int, np.ndarray] = {loss.slot: np.ones((1, 1))}
-        for node in reversed(self._ops):
+        ops = self._ops
+        while ops:
+            node = ops.pop()
             g_out = grads.pop(node.out_slot, None)
             if g_out is None:
                 continue
@@ -129,7 +137,7 @@ class Tape:
         self._grads = grads
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient of the last backward() w.r.t. `t`; zeros if unreached."""
+        """Gradient of backward()'s loss w.r.t. `t`; zeros if unreached."""
         if self._grads is None:
             raise DetachedTensor("backward() has not been run on this tape")
         if t.tape is not self or t.slot < 0:
@@ -321,12 +329,14 @@ def helix_layer(h, attr, inc: Incidence, line: bool, self_loop, w1, b1, w2, b2) 
     B^T B - 2I and each line edge carries the source node its two edges
     share, so nbr = B^T (B h + (D - I) attr) - 2 h. d is `inc.width`.
 
-    Forward works in place and keeps the layer input, the hidden post-ReLU
-    array (backward reads the inner mask from it) and, when a tape records
-    the call, the outer mask as bools: keeping the output instead would
-    hold every line-helix layer's output until backward, which nothing
-    else does. An untaped call forms no mask. Backward never writes into
-    its incoming gradient.
+    Forward works in place. When a tape records the call it keeps only the
+    MLP input x and the outer mask as bools: keeping the output instead
+    would hold every line-helix layer's output until backward, which
+    nothing else does. Backward recomputes the hidden post-ReLU array z,
+    and from it the inner mask, with forward's ops in forward's order, so
+    every bit is the same; it costs one more x @ w1 and saves holding z,
+    twice x's width, from forward to backward. An untaped call forms no
+    mask. Backward never writes into its incoming gradient.
     """
     ins = tuple(_as_tensor(t) for t in (h, attr, self_loop, w1, b1, w2, b2))
     h, attr, self_loop, w1, b1, w2, b2 = ins
@@ -340,7 +350,7 @@ def helix_layer(h, attr, inc: Incidence, line: bool, self_loop, w1, b1, w2, b2) 
                             f"{', '.join(str(t.shape) for t in ins)}, expected "
                             f"{', '.join(map(str, expected))}")
     tape = _tape_of(*ins)
-    h_data, w1_data, w2_data = h.data, w1.data, w2.data
+    h_data, w1_data, b1_data, w2_data = h.data, w1.data, b1.data, w2.data
     if line:
         t = inc.into_nodes(h_data)
         t += attr.data * inc._deg_less_one
@@ -350,15 +360,19 @@ def helix_layer(h, attr, inc: Incidence, line: bool, self_loop, w1, b1, w2, b2) 
         x = inc.adjacent(h_data, attr.data)
     x += h_data
     x += self_loop.data
-    z = x @ w1_data
-    z += b1.data
-    np.maximum(z, 0.0, out=z)
-    out = z @ w2_data
+
+    def hidden() -> np.ndarray:
+        z = x @ w1_data
+        z += b1_data
+        return np.maximum(z, 0.0, out=z)
+
+    out = hidden() @ w2_data
     out += b2.data
     np.maximum(out, 0.0, out=out)
     mask = out > 0.0 if tape is not None else None
 
     def backward(g):
+        z = hidden()
         g2 = g * mask
         gz = g2 @ w2_data.T
         gz *= z > 0.0
@@ -637,6 +651,16 @@ ADAM_EPS = 1e-8
 # the largest gradient magnitude adam_step takes: its square is a quarter
 # of the float64 maximum, so v and v_hat stay finite after rounding
 _GRAD_LIMIT = math.sqrt(np.finfo(np.float64).max) / 2
+
+
+def moment_limits(step: int) -> tuple[float, float]:
+    """The largest |m| and v that `step` adam_step calls reach from zero
+    moments: (1 - b^step) times _GRAD_LIMIT for m and its square for v,
+    widened by 1e-9 for rounding. Moments within them keep the next step's
+    bias-corrected m and v within _GRAD_LIMIT and its square, so finite."""
+    widen = 1.0 + 1e-9
+    return ((1.0 - ADAM_BETA1 ** step) * _GRAD_LIMIT * widen,
+            (1.0 - ADAM_BETA2 ** step) * _GRAD_LIMIT ** 2 * widen)
 
 
 @dataclass

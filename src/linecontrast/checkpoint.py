@@ -20,7 +20,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .autodiff import AdamState, FlatLayout
+from .autodiff import AdamState, FlatLayout, moment_limits
 from .encoder import DualHelixParams, EncoderConfig, param_shapes
 
 MAGIC = b"LNCT0002"
@@ -111,8 +111,9 @@ def _check_header(header) -> tuple[EncoderConfig, FlatLayout, dict]:
 def load_checkpoint(path) -> tuple[DualHelixParams, AdamState, int, int]:
     """The parameters, Adam's state, the step and the completed epochs,
     from one read of the data; ConfigMismatch, one line, for any file the
-    module docstring does not describe or whose values fail a check,
-    non-finite data included."""
+    module docstring does not describe or whose values fail a check:
+    non-finite data, and Adam moments that the stored number of Adam steps
+    cannot reach (autodiff.moment_limits), included."""
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
@@ -133,7 +134,16 @@ def load_checkpoint(path) -> tuple[DualHelixParams, AdamState, int, int]:
         if not np.isfinite(buf).all():
             name = next(n for n, a in layout.views(buf).items() if not np.isfinite(a).all())
             raise ConfigMismatch(f"checkpoint data {prefix}{name} holds NaN or inf")
+    steps = meta["adam_step"]
+    m_limit, v_limit = moment_limits(steps)
+    for prefix, bad, rule in (("opt.m.", np.abs(m) > m_limit, f"|m| above {m_limit:.3g}"),
+                              ("opt.v.", (v < 0) | (v > v_limit),
+                               f"v below 0 or above {v_limit:.3g}")):
+        if bad.any():
+            name = next(n for n, a in layout.views(bad).items() if a.any())
+            raise ConfigMismatch(f"checkpoint data {prefix}{name} holds {rule}, "
+                                 f"which {steps} Adam steps cannot reach")
     params = DualHelixParams(config=config, seed=meta["seed"], arrays=layout.views(flat))
-    opt = AdamState(layout, learning_rate=meta["learning_rate"], step=meta["adam_step"],
+    opt = AdamState(layout, learning_rate=meta["learning_rate"], step=steps,
                     m=m.astype(np.float64), v=v.astype(np.float64))
     return params, opt, meta["step"], meta["epochs_done"]

@@ -71,6 +71,9 @@ _CONFIG_KEYS = {
 }
 
 
+_PRESETS = {"desk": desk_train_config, "full": full_train_config}
+
+
 def read_kv_config(path) -> dict[str, str]:
     """Flat UTF-8 key=value file; blank lines and # comments allowed."""
     values: dict[str, str] = {}
@@ -102,7 +105,7 @@ def resolve_train_config(preset: str, file_values: dict[str, str],
                          flag_values: dict[str, str | None]) -> TrainConfig:
     """The preset, then the file's values, then the flags given (None
     means not given); both routes' values are text, cast by one table."""
-    base = desk_train_config() if preset == "desk" else full_train_config()
+    base = _PRESETS[preset]()
     sections = {"train": dataclasses.asdict(base)}
     sections["encoder"] = sections["train"].pop("encoder")
     given = [(f"config key {key}", key, raw) for key, raw in file_values.items()]
@@ -174,7 +177,7 @@ def cmd_pretrain(args) -> int:
     result = pretrain(corpus, cfg, metrics_path=out_dir / "metrics.jsonl", init=init)
     save_training_checkpoint(ckpt_path, result)
     for epoch, mean in result.epoch_means.items():
-        print(f"[pretrain] epoch={epoch} mean_total_loss={mean:.6f}")
+        print(f"[pretrain] epoch={epoch} mean_total_loss={mean:.6g}")
     print(f"[pretrain] wrote {ckpt_path} and {out_dir / 'metrics.jsonl'} "
           f"(step={result.step})")
     return 0
@@ -240,10 +243,11 @@ def cmd_bench(args) -> int:
     _at_least("--steps", args.steps, 1)
     _at_least("--batch-size", args.batch_size, 2)
     _at_least("--graphs", args.graphs, args.batch_size)
-    _banner("bench", mode=args.mode, graphs=args.graphs, batch_size=args.batch_size,
-            steps=args.steps, seed=args.seed)
+    _banner("bench", mode=args.mode, preset=args.preset, graphs=args.graphs,
+            batch_size=args.batch_size, steps=args.steps, seed=args.seed)
     report = bench_mod.bench_train_step(n_graphs=args.graphs, batch_size=args.batch_size,
-                                        steps=args.steps, seed=args.seed)
+                                        steps=args.steps, seed=args.seed,
+                                        encoder=_PRESETS[args.preset]().encoder)
     for line in report.lines():
         print(f"[bench] {line}")
     return 0
@@ -251,8 +255,17 @@ def cmd_bench(args) -> int:
 
 # --- parser ---------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with one `error:` line (no usage line) and exit 2 for a
+    command line it refuses; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linecontrast",
         description="Contrastive pre-training of graph encoders against line graphs.",
     )
@@ -269,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--resume", action="store_true",
                    help="continue from the checkpoint in the output directory")
-    p.add_argument("--preset", choices=("desk", "full"), default="desk")
+    p.add_argument("--preset", choices=tuple(_PRESETS), default="desk")
     for key in _CONFIG_KEYS:  # text, cast by resolve_train_config
         p.add_argument("--" + key.replace("_", "-"))
     p.set_defaults(func=cmd_pretrain)
@@ -291,6 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", type=int, default=48, help="corpus size for train-step mode")
     p.add_argument("--batch-size", dest="batch_size", type=int, default=16)
     p.add_argument("--steps", type=int, default=4)
+    p.add_argument("--preset", choices=tuple(_PRESETS), default="desk",
+                   help="encoder config for train-step mode, as pretrain's preset gives it")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
     return parser

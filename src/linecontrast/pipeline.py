@@ -315,7 +315,7 @@ def pretrain(corpus, cfg: TrainConfig, *, metrics_path=None,
                     metrics_fh.write(json.dumps(row, separators=(",", ":")) + "\n")
                 step += 1
             epoch_means[epoch] = float(np.mean([r.l_total for r in reports[-n_batches:]]))
-            log.info("epoch %d done, mean total loss %.6f", epoch, epoch_means[epoch])
+            log.info("epoch %d done, mean total loss %.6g", epoch, epoch_means[epoch])
     finally:
         if metrics_fh is not None:
             metrics_fh.close()

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,15 @@ class TestBackward:
         loss = ad.add(ad.matmul(x, x), ad.scale(x, 3.0))  # x^2 + 3x
         tape.backward(loss)
         assert tape.grad(x)[0, 0] == pytest.approx(7.0, abs=1e-12)
+
+    def test_backward_consumes_the_record(self):
+        tape = Tape()
+        x, loss = scalar_loss_sum_of_squares(tape, np.array([[3.0], [-0.5]]))
+        tape.backward(loss)
+        assert tape._ops == []
+        with pytest.raises(DetachedTensor, match="already consumed"):
+            tape.backward(loss)
+        assert np.array_equal(tape.grad(x), [[6.0], [-1.0]])  # the first call's
 
     def test_not_scalar_rejected(self):
         tape = Tape()
@@ -374,6 +384,28 @@ class TestGinMlp:
             grads = tape._ops[0].backward(g)
             assert np.array_equal(g, kept)
             assert [x.shape for x in grads] == shapes
+
+    @pytest.mark.parametrize("line", [False, True], ids=["graph rule", "line rule"])
+    def test_taped_call_keeps_only_the_mlp_input_and_the_outer_mask(self, line):
+        # 400 nodes, 600 edges, width 32, hidden 64: the hidden array z
+        # (rows x 64 floats) is twice the MLP input x (rows x 32) and is
+        # recomputed in backward, not kept
+        rng = np.random.default_rng(0)
+        inc = ad.Incidence(rng.integers(0, 400, size=(600, 2)), 400, 32)
+        rows, cols = (600, 400) if line else (400, 600)
+        shapes = ((rows, 32), (cols, 32), (1, 32), (32, 64), (1, 64), (64, 32), (1, 32))
+        tape = Tape()
+        ins = [tape.watch(rng.standard_normal(s)) for s in shapes]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = ad.helix_layer(ins[0], ins[1], inc, line, *ins[2:])
+            kept = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        x_bytes, mask_bytes = rows * 32 * 8, rows * 32
+        assert kept <= x_bytes + mask_bytes + 4096  # the node, closure and tensor
+        assert kept > x_bytes + mask_bytes  # they are kept
 
     @pytest.mark.parametrize("which", range(7), ids=NAMES)
     def test_bad_shape_rejected(self, rng, which):

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import io
 import json
+import logging
 import pkgutil
 import re
 import struct
@@ -18,13 +19,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linecontrast
-from linecontrast import cli, gradcheck
+from linecontrast import bench, cli, gradcheck
 from linecontrast.autodiff import AdamState
 from linecontrast.cli import main, read_kv_config, resolve_train_config
 from linecontrast.encoder import DualHelixParams, EncoderConfig, param_shapes
 from linecontrast.pipeline import (
     PretrainResult,
     TrainConfig,
+    desk_train_config,
+    full_train_config,
     load_training_checkpoint,
     save_corpus,
     save_training_checkpoint,
@@ -303,7 +306,15 @@ class TestPretrainCommand:
         # the 2-epoch resume trains nothing and must not rewind the count
         assert run("chained", 3, 2, 4) == run("straight", 4)
 
-    @pytest.mark.parametrize("kind", ["missing", "misshaped"])
+    # an edited first entry of the first second-moment (or first-moment)
+    # array, with the start of the error line it must give after 3 steps
+    UNREACHABLE_MOMENTS = {
+        "negative second moment": ("opt.v.", -1.0, "v below 0 or above 1.35e+305"),
+        "second moment 1e308": ("opt.v.", 1e308, "v below 0 or above 1.35e+305"),
+        "first moment 1e300": ("opt.m.", 1e300, "|m| above 1.82e+153"),
+    }
+
+    @pytest.mark.parametrize("kind", ["missing", "misshaped", *UNREACHABLE_MOMENTS])
     def test_resume_with_bad_optimizer_moments_exits_2(self, tmp_path, capsys, kind):
         corpus = write_corpus(tmp_path)
         code, out_dir = self.run_pretrain(tmp_path, corpus)
@@ -312,17 +323,27 @@ class TestPretrainCommand:
         header, arrays = read_checkpoint_tables(ckpt_path)
         if kind == "missing":
             arrays = {k: a for k, a in arrays.items() if k.startswith("model.")}
-        else:
+        elif kind == "misshaped":
             name = next(k for k in sorted(arrays) if k.startswith("opt.v."))
             arrays[name] = np.zeros((1, 1))
+        else:
+            prefix, value, rule = self.UNREACHABLE_MOMENTS[kind]
+            name = next(k for k in sorted(arrays) if k.startswith(prefix))
+            arrays[name] = arrays[name].copy()
+            arrays[name].flat[0] = value
         write_checkpoint_tables(ckpt_path, header, arrays)
         capsys.readouterr()
         code = main(["pretrain", "--corpus", str(corpus), "--out", str(out_dir),
                      "--epochs", "2", "--batch-size", "4", "--hidden-dim", "16",
                      "--depth", "2", "--seed", "1", "--resume"])
-        err = capsys.readouterr().err.strip().splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
+        if kind in self.UNREACHABLE_MOMENTS:
+            assert err == [f"error: checkpoint data {name} holds {rule}, "
+                           "which 3 Adam steps cannot reach"]
+            assert captured.out == ""  # refused before the banner
 
     def test_zero_norm_row_names_the_step(self, tmp_path, capsys):
         # a one-layer, width-4 encoder ends in a ReLU row of zeros at once
@@ -442,6 +463,21 @@ class TestPretrainCommand:
         assert len(err) == 1 and err[0].startswith("error: step 0: adam_step: ")
         assert read_metrics(out_dir) == []
         assert not (out_dir / "checkpoint.bin").exists()
+
+    def test_huge_epoch_mean_prints_a_short_line(self, tmp_path, capsys, caplog):
+        # at tau 1e-150 the losses are near 1e150 and still finite; the
+        # banner echoes the whole config, so only the lines after it count
+        caplog.set_level(logging.INFO, logger="linecontrast")
+        corpus = write_corpus(tmp_path)
+        code, _ = self.run_pretrain(tmp_path, corpus, "--tau", "1e-150")
+        banner, *out = capsys.readouterr().out.splitlines()
+        assert code == 0 and banner.startswith("[pretrain] config: ")
+        means = [float(line.split("mean_total_loss=")[1]) for line in out
+                 if "mean_total_loss=" in line]
+        assert len(means) == 1 and means[0] > 1e100
+        logged = [r.getMessage() for r in caplog.records]
+        assert any("mean total loss" in line for line in logged)
+        assert all(len(line.encode()) < 300 for line in out + logged)
 
     def test_resume_without_checkpoint_exits_2(self, tmp_path):
         corpus = write_corpus(tmp_path)
@@ -847,6 +883,25 @@ class TestBenchCommand:
         rss = [line for line in text.splitlines() if "peak_rss_mb=" in line]
         assert len(rss) == 1 and float(rss[0].split("peak_rss_mb=")[1]) > 0
 
+    @pytest.mark.parametrize("preset", ["desk", "full"])
+    def test_train_step_mode_runs_the_preset_encoder(self, capsys, monkeypatch, preset):
+        # the full preset's hidden 300 runs at a tiny size: 4 graphs, 1 step
+        run = bench.bench_train_step
+        encoders = []
+
+        def recorded(**kwargs):
+            encoders.append(kwargs["encoder"])
+            return run(**kwargs)
+
+        monkeypatch.setattr(bench, "bench_train_step", recorded)
+        assert main(["bench", "--mode", "train-step", "--preset", preset, "--graphs", "4",
+                     "--batch-size", "4", "--steps", "1"]) == 0
+        banner, *lines = capsys.readouterr().out.splitlines()
+        assert json.loads(banner.removeprefix("[bench] config: "))["preset"] == preset
+        assert "[bench] steps=1" in lines
+        want = desk_train_config() if preset == "desk" else full_train_config()
+        assert encoders == [want.encoder]
+
 
 class TestConfigResolution:
     def test_presets(self):
@@ -922,6 +977,24 @@ class TestConfigResolution:
                   "--shuffle", "false"])
         assert exited.value.code == 2
         assert "unrecognized arguments: --shuffle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--tolerance", "inf"],
+        ["embed", "--corpus", "x"],
+        ["transform", "--in", "c.jsonl"],
+        ["bench", "--mode", "probe"],
+        ["bench", "--mode", "train-step", "--steps", "two"],
+        [],
+    ], ids=["unknown flag", "missing required flags",
+            "missing required flag", "bad choice", "not an int", "no command"])
+    def test_refused_command_line_prints_one_error_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
     @pytest.mark.parametrize("value", ["loud", "info ", "0"])
     def test_unknown_verbosity_env_exits_2_before_any_output(self, tmp_path, monkeypatch,

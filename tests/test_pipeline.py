@@ -307,6 +307,27 @@ class TestTrainStep:
             assert [k for k, v in saved.items() if vars(owner)[k] is not v] == []
 
 
+    def test_desk_step_allocation_peak_stays_in_budget(self):
+        # one desk-shape step (batch 16, hidden 32) peaked at 3.89 MB under
+        # tracemalloc, 5.47 MB while each tape node held its layer's hidden
+        # array and the record kept every node until the tape was dropped;
+        # the bound is the measured peak plus 10% headroom
+        cfg = desk_train_config()
+        graphs = [random_molecular_graph(i, (6, 24), 4) for i in range(cfg.batch_size)]
+        batch = Batch.build([(g, to_line_graph(g)) for g in graphs])
+        params = DualHelixParams.initialize(cfg.encoder, 0)
+        opt = AdamState.for_params(params.arrays, learning_rate=cfg.learning_rate)
+        train_step(params, opt, batch)  # the first step's one-time allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train_step(params, opt, batch)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_300_000
+
+
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
         result = pretrain(small_corpus(8), tiny_train_config(epochs=1))
