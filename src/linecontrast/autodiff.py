@@ -420,22 +420,33 @@ def l2_normalize_rows(x) -> Tensor:
 # gradient on s is (softmax over the masked row - onehot(i)) / tau.
 #
 # group_xent reads s = a b^T in both directions: column j anchors the same
-# way on s_jj against the rows of the other groups. It never holds s whole.
-# Pass 1 walks row tiles of s and carries each column's max and sum across
-# tiles with the online softmax update (Milakov & Gimelshein, 2018). Pass 2
-# walks the tiles in reverse order, so the last tile of pass 1 is reused
-# from its buffer and an s that fits one tile is formed once. It finishes
-# each row's log-sum-exp inside its tile and accumulates the gradients on
-# a and b, which are all the tape keeps.
-# Each row and each column takes its own exact max shift: one global shift
-# would underflow every exp once tau is small. block_xent runs one
-# direction per block, on one padded stack per power-of-two width. Both
-# kernels follow one contract: forward forms the masked softmax once,
-# turns (softmax - onehot) into the gradients on a and b, keeps only those
-# two E x d arrays and records the mean over the k anchors; backward
-# scales them by g / (k tau).
+# way on s_jj against the rows of the other groups. It never holds s whole:
+# it walks row tiles of s twice, holding at most two tiles at a time.
+# Every exp needs a shift that keeps it finite and normal. By Cauchy-Schwarz
+# |s_ij| / tau <= B = max_i |a_i| max_j |b_j| / tau, so while the span 2B
+# of the logits stays below SHARED_SHIFT_SPAN one shared shift, zero, is
+# exact: every exp lies within e^(+-B), inside [1e-152, 1e152], and so does
+# every sum of them over fewer than 1e150 terms. On unit rows B = 1 / tau,
+# 10 at tau = 0.1. Pass 1 then takes one exp per similarity and finishes
+# each row's sum inside its tile while it accumulates the column sums;
+# pass 2 walks the tiles in reverse order, so the last tile of pass 1 is
+# reused from its buffer, and re-exps every other tile: two exps per
+# similarity. A finite B also bounds every similarity, so only the exact
+# path checks them. Beyond the span each row and each column takes its
+# own exact max shift: pass 1 carries each column's max and sum across the
+# tiles with the online softmax update (Milakov & Gimelshein, 2018), and
+# pass 2 finishes each row's log-sum-exp inside its tile, three exps per
+# similarity in all. Either way pass 2 turns each tile into the gradient
+# on s, P_row + P_col - 2 on the diagonal (times g / (k tau)), and carries
+# it to a and b, which are all the tape keeps.
+# block_xent runs one direction per block, on one padded stack per
+# power-of-two width. Both kernels follow one contract: forward forms the
+# masked softmax once, turns (softmax - onehot) into the gradients on a
+# and b, keeps only those two E x d arrays and records the mean over the k
+# anchors; backward scales them by g / (k tau).
 
 TILE_ENTRIES = 1 << 18  # similarity entries per row tile of group_xent
+SHARED_SHIFT_SPAN = 700.0  # logit span 2B below which the zero shift is exact
 
 
 def group_xent(a, b, group_ids, tau: float) -> tuple[Tensor | None, int]:
@@ -448,7 +459,10 @@ def group_xent(a, b, group_ids, tau: float) -> tuple[Tensor | None, int]:
     column j anchors with positive s_jj against the rows of other groups.
     Returns (mean over all 2E anchor terms as a 1 x 1 tensor, 2E), or
     (None, 0) when every row is in one group. One tape node; it holds at
-    most two row tiles of TILE_ENTRIES entries at a time.
+    most two row tiles of TILE_ENTRIES entries at a time. It takes two exps
+    per similarity under one shared shift while the row norms and tau bound
+    the logits' span below SHARED_SHIFT_SPAN, and three under exact per-row
+    and per-column shifts beyond it.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
@@ -461,6 +475,9 @@ def group_xent(a, b, group_ids, tau: float) -> tuple[Tensor | None, int]:
         return None, 0
     a_data, b_data = a.data, b.data
     a_tau = a_data * (1.0 / tau)  # s / tau comes out of the matmul
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN picks the exact path
+        bound = float(np.linalg.norm(a_tau, axis=1).max() * np.linalg.norm(b_data, axis=1).max())
+    shared = 2.0 * bound < SHARED_SHIFT_SPAN
     height = max(1, min(n, TILE_ENTRIES // n))
     tiles = [(r0, min(r0 + height, n)) for r0 in range(0, n, height)]
     x_buf = np.empty((height, n))
@@ -468,53 +485,71 @@ def group_xent(a, b, group_ids, tau: float) -> tuple[Tensor | None, int]:
     diag = np.empty(n)
 
     def logits(r0: int, r1: int, first_pass: bool) -> np.ndarray:
-        """The tile's s / tau, -inf where a row meets its own group; the
-        first pass checks it and keeps the positives."""
+        """The tile's s / tau, -inf where a row meets its own group, or
+        under the shared shift its exp, 0 on the own group. The first pass
+        keeps the positives and, on the exact path, checks the tile."""
         x = x_buf[:r1 - r0]
         np.matmul(a_tau[r0:r1], b_data.T, out=x)
         if first_pass:
-            check_finite(x, "similarity")
+            if not shared:
+                check_finite(x, "similarity")
             t = np.arange(r1 - r0)
             diag[r0:r1] = x[t, r0 + t]
         # sorted ids put the tile's own-group columns in one window
         c0 = int(np.searchsorted(ids, ids[r0], "left"))
         c1 = int(np.searchsorted(ids, ids[r1 - 1], "right"))
         np.copyto(x[:, c0:c1], -np.inf, where=ids[r0:r1, None] == ids[None, c0:c1])
+        if shared:
+            np.exp(x, out=x)
         return x
 
-    # pass 1: each column's max and sum of exp, carried across the tiles
-    col_max = np.full(n, -np.inf)
+    # pass 1: each column's sum of exp, carried across the tiles
     col_sum = np.zeros(n)
-    for r0, r1 in tiles:
-        x = logits(r0, r1, True)
-        e = e_buf[:r1 - r0]
-        new_max = np.maximum(col_max, x.max(axis=0))
-        # a column masked in every row so far has nothing to sum yet
-        shift = np.where(np.isneginf(new_max), 0.0, new_max)
-        col_sum *= np.exp(col_max - shift)
-        np.subtract(x, shift, out=e)
-        np.exp(e, out=e)
-        col_sum += e.sum(axis=0)
-        col_max = new_max
-    lse_col = np.log(col_sum) + col_max
+    if shared:
+        row_sum = np.empty(n)
+        for r0, r1 in tiles:
+            e = logits(r0, r1, True)
+            row_sum[r0:r1] = e.sum(axis=1)
+            col_sum += e.sum(axis=0)
+        lse_row, lse_col = np.log(row_sum), np.log(col_sum)
+        inv_row, inv_col = 1.0 / row_sum, 1.0 / col_sum
+    else:
+        col_max = np.full(n, -np.inf)
+        for r0, r1 in tiles:
+            x = logits(r0, r1, True)
+            e = e_buf[:r1 - r0]
+            new_max = np.maximum(col_max, x.max(axis=0))
+            # a column masked in every row so far has nothing to sum yet
+            shift = np.where(np.isneginf(new_max), 0.0, new_max)
+            col_sum *= np.exp(col_max - shift)
+            np.subtract(x, shift, out=e)
+            np.exp(e, out=e)
+            col_sum += e.sum(axis=0)
+            col_max = new_max
+        lse_col = np.log(col_sum) + col_max
+        lse_row = np.empty(n)
 
-    # pass 2: each row's log-sum-exp within its tile, and the gradient on s,
-    # P_row + P_col - 2 on the diagonal (times g / (k tau)), carried to a and b
-    lse_row = np.empty(n)
+    # pass 2: the gradient on s, P_row + P_col - 2 on the diagonal (times
+    # g / (k tau)), carried to a and b; the exact shifts also finish each
+    # row's log-sum-exp here
     ga = np.empty_like(a_data)
     gb_t = np.zeros((a.shape[1], n))
     for k, (r0, r1) in enumerate(reversed(tiles)):
         x = x_buf[:r1 - r0] if k == 0 else logits(r0, r1, False)
         e = e_buf[:r1 - r0]
-        row_max = x.max(axis=1, keepdims=True)
-        np.subtract(x, row_max, out=e)
-        np.exp(e, out=e)
-        row_sum = e.sum(axis=1, keepdims=True)
-        lse_row[r0:r1] = np.log(row_sum[:, 0]) + row_max[:, 0]
-        e *= 1.0 / row_sum
-        x -= lse_col
-        np.exp(x, out=x)
-        e += x
+        if shared:
+            np.add(inv_row[r0:r1, None], inv_col, out=e)
+            e *= x
+        else:
+            row_max = x.max(axis=1, keepdims=True)
+            np.subtract(x, row_max, out=e)
+            np.exp(e, out=e)
+            row_sum = e.sum(axis=1, keepdims=True)
+            lse_row[r0:r1] = np.log(row_sum[:, 0]) + row_max[:, 0]
+            e *= 1.0 / row_sum
+            x -= lse_col
+            np.exp(x, out=x)
+            e += x
         t = np.arange(r1 - r0)
         e[t, r0 + t] -= 2.0
         np.matmul(e, b_data, out=ga[r0:r1])

@@ -3,8 +3,8 @@
 Timers wrap only the measured call; corpus generation and I/O stay
 outside. Transform mode fits a log-log growth exponent of time against
 total edge count, which should sit near 1 for bounded-degree graphs.
-Train-step mode splits one step into forward, backward, and optimizer
-phases, records that the corpus transformation ran exactly once, and
+Train-step mode splits one step into batch build, forward, backward and
+optimizer phases, records that the corpus transformation ran exactly once, and
 reports the process's peak resident set size.
 """
 
@@ -71,6 +71,7 @@ class TrainStepBenchReport:
     steps: int
     transform_calls: int
     transform_seconds: float
+    build_seconds: list[float] = field(default_factory=list)
     forward_seconds: list[float] = field(default_factory=list)
     backward_seconds: list[float] = field(default_factory=list)
     optimizer_seconds: list[float] = field(default_factory=list)
@@ -82,6 +83,7 @@ class TrainStepBenchReport:
             f"steps={self.steps}",
             f"transform_calls={self.transform_calls} (one-time cost)",
             f"transform_seconds={self.transform_seconds:.4f}",
+            f"build_seconds_mean={np.mean(self.build_seconds):.4f}",
             f"forward_seconds_mean={np.mean(self.forward_seconds):.4f}",
             f"backward_seconds_mean={np.mean(self.backward_seconds):.4f}",
             f"optimizer_seconds_mean={np.mean(self.optimizer_seconds):.4f}",
@@ -108,7 +110,9 @@ def bench_train_step(n_graphs: int = 48, batch_size: int = 16, steps: int = 4,
                                   transform_seconds=transform_seconds)
     for _ in range(steps):
         pick = rng.choice(len(pairs), size=batch_size, replace=False)
+        start = time.perf_counter()
         batch = Batch.build([pairs[i] for i in pick])
+        report.build_seconds.append(time.perf_counter() - start)
         _, (forward_s, backward_s, adam_s) = train_step(params, opt, batch)
         report.forward_seconds.append(forward_s)
         report.backward_seconds.append(backward_s)

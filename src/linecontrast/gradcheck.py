@@ -146,11 +146,16 @@ def _primitive_cases(rng: np.random.Generator) -> dict[str, list[Case]]:
         (lambda t: _scalarize(ad.l2_normalize_rows(t["x"]), w34),
          {"x": mat(3, 4) + 0.1}),
     ]
-    # groups of unequal size, the first of them wider than one row
+    # groups of unequal size, the first of them wider than one row; at tau
+    # 0.5 the logits' span bound stays below SHARED_SHIFT_SPAN, at 0.005 the
+    # same rows bound it near 2900 and take the exact per-row and per-column
+    # shifts
     group_ids = np.array([0, 0, 0, 1, 2, 2])
+    xent_rows = {"a": mat(6, 3), "b": mat(6, 3)}
     cases["group_xent"] = [
-        (lambda t: ad.group_xent(t["a"], t["b"], group_ids, 0.5)[0],
-         {"a": mat(6, 3), "b": mat(6, 3)}),
+        (lambda t, tau=tau: ad.group_xent(t["a"], t["b"], group_ids, tau)[0],
+         {k: v.copy() for k, v in xent_rows.items()})
+        for tau in (0.5, 0.005)
     ]
     # a one-row block (drops out) beside blocks of unequal size (padding)
     block_offsets = np.array([0, 3, 4, 6])

@@ -504,21 +504,27 @@ class TestMaskedXent:
 
     def test_matches_two_direction_reference(self, rng):
         # groups of unequal size, rows not normalised: the kernel's rule
-        # holds for any a and b
-        a = rng.standard_normal((5, 3))
-        b = rng.standard_normal((5, 3))
+        # holds for any a and b. At scale 1 the logits' span stays below
+        # the shared shift's limit; at scale 24 the row norms alone, at the
+        # same tau, push it beyond, onto the exact per-row and per-column
+        # shifts, with negatives whose exp overflows unshifted
         ids = np.array([0, 0, 1, 3, 3])
-        tape = Tape()
-        ta, tb = tape.watch(a), tape.watch(b)
-        mean, count = ad.group_xent(ta, tb, ids, 0.5)
-        tape.backward(mean)
-        want_total, want_count, want_ga, want_gb = two_direction_reference(a, b, ids, 0.5)
-        assert count == want_count == 10
-        # the kernel returns the mean over its anchors, so its gradients
-        # are the reference's over the count
-        assert abs(mean.item() - want_total / count) < 1e-12
-        assert np.abs(tape.grad(ta) - want_ga / count).max() < 1e-12
-        assert np.abs(tape.grad(tb) - want_gb / count).max() < 1e-12
+        for scale, shared in ((1.0, True), (24.0, False)):
+            a = scale * rng.standard_normal((5, 3))
+            b = scale * rng.standard_normal((5, 3))
+            span = 2 * np.linalg.norm(a, axis=1).max() * np.linalg.norm(b, axis=1).max() / 0.5
+            assert (span < ad.SHARED_SHIFT_SPAN) == shared
+            tape = Tape()
+            ta, tb = tape.watch(a), tape.watch(b)
+            mean, count = ad.group_xent(ta, tb, ids, 0.5)
+            tape.backward(mean)
+            want_total, want_count, want_ga, want_gb = two_direction_reference(a, b, ids, 0.5)
+            assert count == want_count == 10
+            # the kernel returns the mean over its anchors, so its gradients
+            # are the reference's over the count
+            assert abs(mean.item() - want_total / count) < 1e-12
+            assert np.abs(tape.grad(ta) - want_ga / count).max() < 1e-12
+            assert np.abs(tape.grad(tb) - want_gb / count).max() < 1e-12
 
     def test_no_negatives_anywhere_gives_none(self):
         x = ad.constant(np.eye(3))

@@ -879,7 +879,8 @@ class TestBenchCommand:
                      "--batch-size", "4", "--steps", "2"]) == 0
         text = capsys.readouterr().out
         assert "transform_calls=1" in text
-        assert "backward_seconds_mean=" in text
+        for phase in ("build", "forward", "backward", "optimizer"):
+            assert f"{phase}_seconds_mean=" in text
         rss = [line for line in text.splitlines() if "peak_rss_mb=" in line]
         assert len(rss) == 1 and float(rss[0].split("peak_rss_mb=")[1]) > 0
 

@@ -370,7 +370,14 @@ class TestGroupXentTiles:
         assert np.abs(got[2] - want[2]).max() < 1e-12 / tau
         assert np.abs(got[3] - want[3]).max() < 1e-12 / tau
 
-    @pytest.mark.parametrize("tau", [0.1, 1e-3])
+    # unit rows bound the logits' span by 2 / tau: 2 / 699 and 2 / 701 sit
+    # either side of the shared shift's limit, where its exps reach e^(+-350)
+    @pytest.mark.parametrize("tau", [
+        0.1,
+        pytest.param(2 / 699, id="span-699"),
+        pytest.param(2 / 701, id="span-701"),
+        1e-3,
+    ])
     def test_tilings_agree_with_each_other_and_the_oracle(self, rng, monkeypatch, tau):
         e = rng.standard_normal((self.OFFSETS[-1], 5))
         l = rng.standard_normal((self.OFFSETS[-1], 5))
@@ -386,6 +393,27 @@ class TestGroupXentTiles:
             self._assert_close(whole, want, tau)
             for rows in (1, 3):
                 self._assert_close(self._in_tiles(monkeypatch, rows, fn, *args), whole, tau)
+
+    def test_unit_rows_at_tau_0_1_take_two_exps_per_similarity(self, rng, monkeypatch):
+        # the shared shift exps every similarity in pass 1 and every tile
+        # but the last once more in pass 2; the exact per-row and per-column
+        # shifts would take three exps per similarity
+        n = int(self.OFFSETS[-1])
+        ids = np.repeat(np.arange(len(self.OFFSETS) - 1), np.diff(self.OFFSETS))
+        a, b = rng.standard_normal((2, n, 5))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        exp, entries = np.exp, []
+
+        def counted_exp(x, *args, **kwargs):
+            entries.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "TILE_ENTRIES", 3 * n)
+        monkeypatch.setattr(ad.np, "exp", counted_exp)
+        group_xent(constant(a), constant(b), ids, TAU)
+        last_tile = n - 3 * ((n - 1) // 3)
+        assert sum(entries) == 2 * n * n - last_tile * n
 
     def test_inter_local_never_holds_an_e_by_e_array(self, rng):
         offsets = np.arange(0, 2001, 20)  # 100 graphs of 20 edges
