@@ -1,7 +1,7 @@
 """Golden behaviour: seed-0 loss trajectories at the desk shape and at a
 wide batch, and the full-objective gradient, all committed under
-tests/data/ and checked within 1e-9 relative. A numerical rewrite of any kernel on the training path must
-reproduce them.
+tests/data/ and checked within 1e-9 relative. A numerical rewrite of
+any kernel on the training path must reproduce them.
 
 Regenerate the data (only when the model's behaviour is meant to change):
 
