@@ -425,8 +425,8 @@ def l2_normalize_rows(x) -> Tensor:
 # Every exp needs a shift that keeps it finite and normal. By Cauchy-Schwarz
 # |s_ij| / tau <= B = max_i |a_i| max_j |b_j| / tau, so while the span 2B
 # of the logits stays below SHARED_SHIFT_SPAN one shared shift, zero, is
-# exact: every exp lies within e^(+-B), inside [1e-152, 1e152], and so does
-# every sum of them over fewer than 1e150 terms. On unit rows B = 1 / tau,
+# exact: every exp lies within e^(+-B), about 1e(+-152), and so does every
+# sum of them over fewer than 1e150 terms. On unit rows B = 1 / tau,
 # 10 at tau = 0.1. Pass 1 then takes one exp per similarity and finishes
 # each row's sum inside its tile while it accumulates the column sums;
 # pass 2 walks the tiles in reverse order, so the last tile of pass 1 is

@@ -4,8 +4,8 @@ Timers wrap only the measured call; corpus generation and I/O stay
 outside. Transform mode fits a log-log growth exponent of time against
 total edge count, which should sit near 1 for bounded-degree graphs.
 Train-step mode splits one step into batch build, forward, backward and
-optimizer phases, records that the corpus transformation ran exactly once, and
-reports the process's peak resident set size.
+optimizer phases, records that the corpus transformation ran exactly
+once, and reports the process's peak resident set size.
 """
 
 from __future__ import annotations
