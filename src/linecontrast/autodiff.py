@@ -541,7 +541,8 @@ def group_xent(a, b, group_ids, tau: float) -> tuple[Tensor | None, int]:
         x = x_buf[:r1 - r0] if k == 0 else logits(r0, r1, False)
         e = e_buf[:r1 - r0]
         if shared:
-            np.add(inv_row[r0:r1, None], inv_col, out=e)
+            np.copyto(e, inv_col)   # then add in place: cheaper than a broadcast add
+            e += inv_row[r0:r1, None]
             e *= x
         else:
             row_max = x.max(axis=1, keepdims=True)

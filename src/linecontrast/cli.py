@@ -33,7 +33,7 @@ from . import gradcheck as gradcheck_mod
 from .autodiff import NonFinite
 from .checkpoint import ConfigMismatch
 from .encoder import EncoderConfig
-from .graphs import line_graph_to_record, to_line_graph
+from .graphs import line_graph_to_record
 from .pipeline import (
     TrainConfig,
     desk_train_config,
@@ -43,6 +43,7 @@ from .pipeline import (
     full_train_config,
     pretrain,
     save_training_checkpoint,
+    transform_corpus,
 )
 
 log = logging.getLogger("linecontrast")
@@ -145,8 +146,7 @@ def cmd_transform(args) -> int:
     total_line_edges = 0
     blowups = []
     with open(args.output, "w", encoding="utf-8") as fh:
-        for g in corpus:
-            view = to_line_graph(g)
+        for g, view in transform_corpus(corpus):
             fh.write(json.dumps(line_graph_to_record(view), separators=(",", ":")) + "\n")
             total_edges += g.num_edges
             total_line_edges += view.graph.num_edges

@@ -9,13 +9,17 @@ The line graph of ``g`` has one node per edge of ``g``, and two line-nodes
 are adjacent exactly when the corresponding edges share an endpoint.
 ``LineGraphView`` keeps the provenance maps back to the source graph so
 attributes can be transferred and the two views kept row-aligned.
+``line_graphs`` builds the views of many graphs in one numpy pass: one
+stable sort of all edge endpoints gives every node's incident edges in
+ascending order, and one pair template per node degree gives the line
+edges; ``to_line_graph`` is its one-graph case.
 """
 
 from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -151,44 +155,134 @@ class LineGraphView:
     edge_origin: tuple[int, ...]
 
 
-def to_line_graph(g: MolecularGraph) -> LineGraphView:
-    """Transform a graph into its line graph, transferring attributes.
+# Views of graphs of up to EDGE_ORDER_MAX edges share one node_origin tuple
+# per edge count (at most 257 tuples of small ints, about 0.3 MB), so
+# Batch.build can check a view's line-node order by identity.
+EDGE_ORDER_MAX = 256
+_edge_orders: dict[int, tuple[int, ...]] = {}
+
+
+def edge_order(m: int) -> tuple[int, ...]:
+    """tuple(range(m)), the node_origin of a canonical line view of a graph
+    with m edges; one shared tuple per m up to EDGE_ORDER_MAX."""
+    order = _edge_orders.get(m)
+    if order is None:
+        order = tuple(range(m))
+        if m <= EDGE_ORDER_MAX:
+            _edge_orders[m] = order
+    return order
+
+
+def _checked_graph(node_features, edges, edge_features) -> MolecularGraph:
+    """A MolecularGraph whose invariants the caller has already checked."""
+    g = object.__new__(MolecularGraph)
+    object.__setattr__(g, "node_features", node_features)
+    object.__setattr__(g, "edges", edges)
+    object.__setattr__(g, "edge_features", edge_features)
+    return g
+
+
+def line_graphs(graphs: Sequence[MolecularGraph]) -> list[LineGraphView]:
+    """The line graph of each graph, in order, with attributes transferred.
 
     Line-nodes appear in source-edge order and carry the source edge
     features. Line-edges are grouped by shared source node in ascending
     node order, pairs in lexicographic order of their line-node indices,
-    and carry the shared node's features. Runs in O(|V| + sum deg^2).
+    and carry the shared node's features. EmptyEdgeSet if a graph has no
+    edges.
+
+    One numpy pass serves all the graphs: a stable sort of every edge
+    endpoint by global node id lists each node's incident edges in
+    ascending order, and the line edges of all nodes of degree D come from
+    one (D choose 2) template. The invariants MolecularGraph checks edge by
+    edge (source endpoints in range, so every line edge stays in its
+    graph; k1 < k2; no duplicate line edge) are checked once on these
+    arrays, and the line graphs are built without that per-edge loop. Each
+    distinct line-edge pair is looked up once in the shared table, and
+    each line edge's features are its source node's feature tuple itself.
+    Temporaries grow with the number of graphs, so callers pass bounded
+    chunks. Runs in O(|V| + sum deg^2) plus two sorts.
     """
-    m = g.num_edges
-    if m == 0:
+    if not graphs:
+        return []
+    edge_counts = np.array([len(g.edges) for g in graphs], dtype=np.int64)
+    if not edge_counts.all():
         raise EmptyEdgeSet("line graph of an edgeless graph is empty")
-    incident: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    for k, (u, v) in enumerate(g.edges):
-        incident[u].append(k)
-        incident[v].append(k)
+    node_counts = np.array([len(g.node_features) for g in graphs], dtype=np.int64)
+    node_off = np.concatenate(([0], np.cumsum(node_counts)))
+    edge_off = np.concatenate(([0], np.cumsum(edge_counts)))
+    n_nodes, n_edges = int(node_off[-1]), int(edge_off[-1])
+    # endpoints as u0, v0, u1, v1, ...: slot p holds an endpoint of edge p // 2
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
+                       dtype=np.int64, count=2 * n_edges)
+    end_graph = np.repeat(np.arange(len(graphs)), 2 * edge_counts)
+    outside = ends.view(np.uint64) >= node_counts[end_graph].view(np.uint64)
+    if outside.any():
+        i = int(end_graph[np.argmax(outside)])
+        k = int(np.argmax(outside)) // 2 - int(edge_off[i])
+        raise InvariantViolation(f"graph {i}: edge {k}: endpoint {graphs[i].edges[k]} "
+                                 f"outside 0..{node_counts[i] - 1}")
+    ends += node_off[end_graph]
+
+    incident = np.argsort(ends, kind="stable") >> 1
+    degree = np.bincount(ends, minlength=n_nodes)
+    first = np.cumsum(degree) - degree          # each node's first slot in incident
+    per_node = degree * (degree - 1) // 2
+    line_start = np.cumsum(per_node) - per_node
+    k1 = np.empty(int(per_node.sum()), dtype=np.int64)
+    k2 = np.empty_like(k1)
+    for d in np.unique(degree[degree > 1]).tolist():
+        nodes = np.flatnonzero(degree == d)
+        a, b = np.triu_indices(d, 1)            # combinations(range(d), 2), in order
+        slots = (line_start[nodes, None] + np.arange(a.size)).ravel()
+        k1[slots] = incident[first[nodes, None] + a].ravel()
+        k2[slots] = incident[first[nodes, None] + b].ravel()
+    origin = np.repeat(np.arange(n_nodes), per_node)
+    line_off = np.concatenate(([0], np.cumsum(per_node)))[node_off]
+    line_graph = np.repeat(np.arange(len(graphs)), np.diff(line_off))
+
+    bad = k1 >= k2                              # a self-loop lists its edge twice
+    key = k1 * n_edges + k2
+    ordered = np.sort(key)
+    if not bad.any():
+        repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+        if repeated.size:
+            bad = key == ordered[repeated[0]]
+            bad[np.argmax(bad)] = False         # name the second of the two
+    if bad.any():
+        j = int(np.argmax(bad))
+        i = int(line_graph[j])
+        pair = (int(k1[j] - edge_off[i]), int(k2[j] - edge_off[i]))
+        what = "not stored as u < v" if pair[0] >= pair[1] else "a duplicate line edge"
+        raise InvariantViolation(f"graph {i}: line edge {j - int(line_off[i])}: "
+                                 f"endpoints {pair} {what}")
+
+    k1 -= edge_off[line_graph]
+    k2 -= edge_off[line_graph]
+    width = int(edge_counts.max())
+    pairs, which = np.unique(k1 * width + k2, return_inverse=True)
     shared = _shared_pairs.get
-    line_edges: list[tuple[int, int]] = []
-    origins: list[int] = []
-    features: list[FeaturePair] = []
-    for v, inc in enumerate(incident):
-        if len(inc) < 2:
-            continue
-        # inc is ascending because edges are scanned in index order, so
-        # combinations yields the pairs in lexicographic order
-        line_edges.extend([shared(p) or _admit(p) for p in combinations(inc, 2)])
-        count = len(inc) * (len(inc) - 1) // 2
-        origins.extend([v] * count)
-        features.extend([g.node_features[v]] * count)
-    lg = MolecularGraph(
-        node_features=g.edge_features,
-        edges=tuple(line_edges),
-        edge_features=tuple(features),
-    )
-    return LineGraphView(
-        graph=lg,
-        node_origin=tuple(range(m)),
-        edge_origin=tuple(origins),
-    )
+    distinct = [shared(p) or _admit(p)
+                for p in zip((pairs // width).tolist(), (pairs % width).tolist())]
+    line_edges = np.fromiter(distinct, dtype=object, count=len(distinct))[which].tolist()
+    node_features = np.fromiter(chain.from_iterable(g.node_features for g in graphs),
+                                dtype=object, count=n_nodes)
+    features = node_features[origin].tolist()
+    origins = (origin - node_off[line_graph]).tolist()
+
+    bounds = line_off.tolist()
+    views = []
+    for i, g in enumerate(graphs):
+        lo, hi = bounds[i], bounds[i + 1]
+        lg = _checked_graph(g.edge_features, tuple(line_edges[lo:hi]), tuple(features[lo:hi]))
+        views.append(LineGraphView(lg, edge_order(len(g.edges)), tuple(origins[lo:hi])))
+    return views
+
+
+def to_line_graph(g: MolecularGraph) -> LineGraphView:
+    """The line graph of one graph: `line_graphs`'s one-graph case, with
+    the same order, attributes and EmptyEdgeSet."""
+    return line_graphs([g])[0]
 
 
 def permute_nodes(g: MolecularGraph, perm: Sequence[int]) -> MolecularGraph:

@@ -1,13 +1,14 @@
 import json
 import math
 import struct
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from linecontrast.checkpoint import MAGIC
-from linecontrast.graphs import MolecularGraph, make_graph
+from linecontrast.graphs import EmptyEdgeSet, LineGraphView, MolecularGraph, make_graph
 
 
 def triangle() -> MolecularGraph:
@@ -65,6 +66,29 @@ def bruteforce_line_edges(g: MolecularGraph) -> set[tuple[int, int, int]]:
             if shared:
                 out.add((i, j, shared.pop()))
     return out
+
+
+def reference_line_graph(g: MolecularGraph) -> LineGraphView:
+    """Independent per-graph oracle for the line-graph transform: each
+    node's incident edges collected in edge-index order, their pairs from
+    itertools.combinations, the result built through MolecularGraph's own
+    per-edge checks."""
+    if not g.edges:
+        raise EmptyEdgeSet("line graph of an edgeless graph is empty")
+    incident: list[list[int]] = [[] for _ in range(g.num_nodes)]
+    for k, (u, v) in enumerate(g.edges):
+        incident[u].append(k)
+        incident[v].append(k)
+    line_edges, origins, features = [], [], []
+    for v, inc in enumerate(incident):
+        for pair in combinations(inc, 2):
+            line_edges.append(pair)
+            origins.append(v)
+            features.append(g.node_features[v])
+    lg = MolecularGraph(node_features=g.edge_features, edges=tuple(line_edges),
+                        edge_features=tuple(features))
+    return LineGraphView(graph=lg, node_origin=tuple(range(g.num_edges)),
+                         edge_origin=tuple(origins))
 
 
 def corrupted(analytic_grads):
