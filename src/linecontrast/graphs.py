@@ -40,9 +40,10 @@ FeaturePair = tuple[int, int]
 # hold about 400k of them but only 608 distinct values). Each distinct pair is
 # kept once here and every graph refers to that one tuple. At most
 # SHARED_PAIRS_MAX pairs are kept, about 0.7 MB at worst (4096 pairs of
-# distinct ints above 256); pairs past the bound are stored fresh in each graph.
-# Only values are promised, not identity: loaders in two threads may overshoot
-# the bound by a pair each, or keep two tuples of one value.
+# distinct ints above 256); pairs past the bound are stored fresh in each graph
+# (a line-edge pair once per line_graphs call). Only values are promised, not
+# identity: loaders in two threads may overshoot the bound by a pair each, or
+# keep two tuples of one value.
 SHARED_PAIRS_MAX = 4096
 _shared_pairs: dict[tuple[int, int], tuple[int, int]] = {}
 
@@ -182,6 +183,16 @@ def _checked_graph(node_features, edges, edge_features) -> MolecularGraph:
     return g
 
 
+def _recheck(i: int, what: str, node_features, edges) -> None:
+    """Build graph `i` of a line_graphs call through MolecularGraph's own
+    checks, so that a violation found in bulk raises with its usual message."""
+    edges = tuple(edges)
+    try:
+        MolecularGraph(node_features, edges, ((0, 0),) * len(edges))
+    except InvariantViolation as err:
+        raise InvariantViolation(f"graph {i}: {what}{err}") from None
+
+
 def line_graphs(graphs: Sequence[MolecularGraph]) -> list[LineGraphView]:
     """The line graph of each graph, in order, with attributes transferred.
 
@@ -197,11 +208,13 @@ def line_graphs(graphs: Sequence[MolecularGraph]) -> list[LineGraphView]:
     one (D choose 2) template. The invariants MolecularGraph checks edge by
     edge (source endpoints in range, so every line edge stays in its
     graph; k1 < k2; no duplicate line edge) are checked once on these
-    arrays, and the line graphs are built without that per-edge loop. Each
-    distinct line-edge pair is looked up once in the shared table, and
-    each line edge's features are its source node's feature tuple itself.
-    Temporaries grow with the number of graphs, so callers pass bounded
-    chunks. Runs in O(|V| + sum deg^2) plus two sorts.
+    arrays, and the line graphs are built without that per-edge loop; a
+    graph that fails them goes through MolecularGraph's checks, so the
+    InvariantViolation names its edge as usual. Each distinct line-edge
+    pair is looked up once in the shared table, and each line edge's
+    features are its source node's feature tuple itself. Temporaries grow
+    with the number of graphs, so callers pass bounded chunks. Runs in
+    O(|V| + sum deg^2) plus three sorts.
     """
     if not graphs:
         return []
@@ -219,9 +232,7 @@ def line_graphs(graphs: Sequence[MolecularGraph]) -> list[LineGraphView]:
     outside = ends.view(np.uint64) >= node_counts[end_graph].view(np.uint64)
     if outside.any():
         i = int(end_graph[np.argmax(outside)])
-        k = int(np.argmax(outside)) // 2 - int(edge_off[i])
-        raise InvariantViolation(f"graph {i}: edge {k}: endpoint {graphs[i].edges[k]} "
-                                 f"outside 0..{node_counts[i] - 1}")
+        _recheck(i, "", graphs[i].node_features, graphs[i].edges)
     ends += node_off[end_graph]
 
     incident = np.argsort(ends, kind="stable") >> 1
@@ -241,24 +252,19 @@ def line_graphs(graphs: Sequence[MolecularGraph]) -> list[LineGraphView]:
     line_off = np.concatenate(([0], np.cumsum(per_node)))[node_off]
     line_graph = np.repeat(np.arange(len(graphs)), np.diff(line_off))
 
-    bad = k1 >= k2                              # a self-loop lists its edge twice
+    # a self-loop lists its edge twice at its node, and two copies of one
+    # edge meet at both of its endpoints
     key = k1 * n_edges + k2
     ordered = np.sort(key)
-    if not bad.any():
-        repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
-        if repeated.size:
-            bad = key == ordered[repeated[0]]
-            bad[np.argmax(bad)] = False         # name the second of the two
-    if bad.any():
-        j = int(np.argmax(bad))
-        i = int(line_graph[j])
-        pair = (int(k1[j] - edge_off[i]), int(k2[j] - edge_off[i]))
-        what = "not stored as u < v" if pair[0] >= pair[1] else "a duplicate line edge"
-        raise InvariantViolation(f"graph {i}: line edge {j - int(line_off[i])}: "
-                                 f"endpoints {pair} {what}")
-
+    bad = (k1 >= k2) | np.isin(key, ordered[1:][ordered[1:] == ordered[:-1]])
     k1 -= edge_off[line_graph]
     k2 -= edge_off[line_graph]
+    if bad.any():
+        i = int(line_graph[np.argmax(bad)])
+        rows = slice(line_off[i], line_off[i + 1])
+        _recheck(i, "line graph ", graphs[i].edge_features,
+                 zip(k1[rows].tolist(), k2[rows].tolist()))
+
     width = int(edge_counts.max())
     pairs, which = np.unique(k1 * width + k2, return_inverse=True)
     shared = _shared_pairs.get

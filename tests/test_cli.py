@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import importlib
 import inspect
 import io
@@ -24,6 +25,7 @@ from linecontrast.autodiff import AdamState
 from linecontrast.cli import main, read_kv_config, resolve_train_config
 from linecontrast.encoder import DualHelixParams, EncoderConfig, param_shapes
 from linecontrast.pipeline import (
+    TRANSFORM_CHUNK,
     PretrainResult,
     TrainConfig,
     desk_train_config,
@@ -121,6 +123,19 @@ class TestTransformCommand:
         ]
         assert rows[1]["edge_origin"] == [0, 0, 0]
         assert rows[2]["edge_origin"] == [1]
+
+    def test_corpus_of_several_chunks_matches_the_per_graph_transform(self, tmp_path, capsys):
+        # 600 graphs span three transform chunks; the output file's sha256
+        # and the stats line were recorded from the per-graph transform
+        # that the bulk path replaced
+        assert 600 > 2 * TRANSFORM_CHUNK
+        src, out = tmp_path / "corpus.jsonl", tmp_path / "out.jsonl"
+        save_corpus([random_molecular_graph(seed, (6, 24), 4) for seed in range(600)], src)
+        assert main(["transform", "--in", str(src), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "aff94d325c1337fcc8f4b114243f264c043dca897946108d5e6260d6d2875759")
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "[transform] graphs=600 edges=10545 line_edges=19361 mean_degree_blowup=1.761")
 
     def test_stats_line_printed(self, tmp_path, capsys):
         out = tmp_path / "out.jsonl"

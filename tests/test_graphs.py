@@ -1,26 +1,30 @@
 import tracemalloc
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linecontrast import graphs
+from linecontrast import graphs, pipeline
 from linecontrast.graphs import (
     EmptyEdgeSet,
     InvariantViolation,
     MolecularGraph,
+    edge_order,
     graph_from_record,
     graph_to_record,
+    line_graphs,
     make_graph,
     permute_nodes,
     to_line_graph,
 )
-from linecontrast.pipeline import load_corpus, save_corpus, transform_corpus
+from linecontrast.pipeline import TRANSFORM_CHUNK, load_corpus, save_corpus, transform_corpus
 from linecontrast.synth import random_molecular_graph
 
-from conftest import (bruteforce_line_edges, degrees, line_edge_count, path3, single_edge,
-                      star, triangle)
+from conftest import (bruteforce_line_edges, degrees, line_edge_count, path3,
+                      reference_line_graph, single_edge, star, triangle)
 
 
 class TestMolecularGraphInvariants:
@@ -153,6 +157,87 @@ def test_line_graph_invariants_hold_on_random_graphs(seed):
     for (a, b), origin in zip(lg.edges, view.edge_origin):
         ea, eb = g.edges[view.node_origin[a]], g.edges[view.node_origin[b]]
         assert set(ea) & set(eb) == {origin}
+
+
+@st.composite
+def corpus_graphs(draw):
+    """A graph with at least one edge, edges in drawn order: a random simple
+    graph, a single edge, or a hub of degree 8 to 11 with extra edges;
+    each may carry isolated nodes."""
+    kind = draw(st.sampled_from(["random", "single edge", "hub"]))
+    if kind == "single edge":
+        n, edges = 2, [(0, 1)]
+    else:
+        n = draw(st.integers(2, 9)) if kind == "random" else draw(st.integers(9, 12))
+        candidates = list(combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=14,
+                              unique=True))
+        if kind == "hub":
+            hub = draw(st.integers(0, n - 1))
+            spokes = [tuple(sorted((hub, v))) for v in range(n) if v != hub][:draw(
+                st.integers(8, n - 1))]
+            edges = draw(st.permutations(list(dict.fromkeys(edges + spokes))))
+    n += draw(st.integers(0, 3))            # isolated nodes
+    small = st.tuples(st.integers(0, 3), st.integers(0, 2))
+    return make_graph(draw(st.lists(small, min_size=n, max_size=n)), edges,
+                      draw(st.lists(small, min_size=len(edges), max_size=len(edges))))
+
+
+class TestTransformCorpusAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=st.lists(corpus_graphs(), max_size=12), chunk=st.integers(1, 5))
+    def test_matches_the_per_graph_oracle_across_chunk_boundaries(self, corpus, chunk):
+        with mock.patch.object(pipeline, "TRANSFORM_CHUNK", chunk):
+            pairs = transform_corpus(corpus)
+        assert [g for g, _ in pairs] == corpus
+        for g, view in pairs:
+            assert view == reference_line_graph(g)
+            lg = view.graph
+            assert make_graph(lg.node_features, lg.edges, lg.edge_features) == lg
+            assert {(a, b, o) for (a, b), o in zip(lg.edges, view.edge_origin)} == (
+                bruteforce_line_edges(g))
+
+    @settings(max_examples=30, deadline=None)
+    @given(corpus=st.lists(corpus_graphs(), max_size=10), data=st.data(),
+           chunk=st.integers(1, 4))
+    def test_an_edgeless_graph_anywhere_raises(self, corpus, data, chunk):
+        edgeless = make_graph([[0, 0]] * data.draw(st.integers(0, 3)), [], [])
+        corpus.insert(data.draw(st.integers(0, len(corpus))), edgeless)
+        with mock.patch.object(pipeline, "TRANSFORM_CHUNK", chunk):
+            with pytest.raises(EmptyEdgeSet):
+                transform_corpus(corpus)
+
+    def test_matches_the_oracle_at_the_real_chunk_size(self):
+        corpus = [random_molecular_graph(seed, (2, 20), 5)
+                  for seed in range(2 * TRANSFORM_CHUNK + 7)]
+        assert [v for _, v in transform_corpus(corpus)] == [
+            reference_line_graph(g) for g in corpus]
+
+    def test_views_share_one_node_origin_per_edge_count(self):
+        views = line_graphs([triangle(), star(3), path3()])
+        assert views[0].node_origin is views[1].node_origin is edge_order(3)
+        assert views[2].node_origin is edge_order(2)
+        assert edge_order(graphs.EDGE_ORDER_MAX + 1) == tuple(range(graphs.EDGE_ORDER_MAX + 1))
+
+
+def _forged(node_count, edges):
+    """A MolecularGraph whose edges skip the constructor's checks."""
+    g = make_graph([[0, 0]] * node_count, [(0, 1)], [[0, 0]])
+    object.__setattr__(g, "edges", tuple(edges))
+    object.__setattr__(g, "edge_features", ((0, 0),) * len(edges))
+    return g
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (1, 3)], "graph 1: edge 1: endpoint (1, 3) outside 0..2"),
+    ([(0, 1), (-1, 2)], "graph 1: edge 1: endpoint (-1, 2) outside 0..2"),
+    ([(0, 1), (1, 1)], "graph 1: line graph edge 1: duplicate edge (0, 1)"),
+    ([(0, 1), (1, 2), (0, 1)], "graph 1: line graph edge 2: duplicate edge (0, 2)"),
+], ids=["endpoint past the nodes", "negative endpoint", "self-loop", "duplicate edge"])
+def test_line_graphs_refuse_a_source_that_breaks_the_invariants(edges, message):
+    with pytest.raises(InvariantViolation) as err:
+        line_graphs([triangle(), _forged(3, edges)])
+    assert str(err.value) == message
 
 
 class TestPermuteNodes:

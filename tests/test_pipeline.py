@@ -328,6 +328,24 @@ class TestTrainStep:
         assert peak < 4_300_000
 
 
+    def test_transform_allocation_peak_stays_in_budget(self):
+        # beyond the views it returns, transform_corpus over these 2000 graphs
+        # peaked at 1.01 MB under tracemalloc in chunks of TRANSFORM_CHUNK
+        # graphs, and at 8.80 MB in one line_graphs call on the whole corpus;
+        # the bound is the chunked peak plus 10% headroom
+        corpus = [random_molecular_graph(i, (6, 24), 4) for i in range(2000)]
+        transform_corpus(corpus[:10])  # the first call's one-time allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pairs = transform_corpus(corpus)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == len(corpus)
+        assert peak - held < 1_110_000, (peak - held, held - base)
+
+
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
         result = pretrain(small_corpus(8), tiny_train_config(epochs=1))
