@@ -125,7 +125,7 @@ class TestTransformCommand:
         assert rows[2]["edge_origin"] == [1]
 
     def test_corpus_of_several_chunks_matches_the_per_graph_transform(self, tmp_path, capsys):
-        # 600 graphs span three transform chunks; the output file's sha256
+        # 600 graphs span several transform chunks; the output file's sha256
         # and the stats line were recorded from the per-graph transform
         # that the bulk path replaced
         assert 600 > 2 * TRANSFORM_CHUNK
