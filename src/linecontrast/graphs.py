@@ -12,7 +12,9 @@ attributes can be transferred and the two views kept row-aligned.
 ``line_graphs`` builds the views of many graphs in one numpy pass: one
 stable sort of all edge endpoints gives every node's incident edges in
 ascending order, and one pair template per node degree gives the line
-edges; ``to_line_graph`` is its one-graph case.
+edges; ``to_line_graph`` is its one-graph case. ``graphs_from_rows`` builds
+many graphs from the integer arrays of their records the same way, with
+one check of the invariants on the arrays.
 """
 
 from __future__ import annotations
@@ -40,8 +42,10 @@ FeaturePair = tuple[int, int]
 # hold about 400k of them but only 608 distinct values). Each distinct pair is
 # kept once here and every graph refers to that one tuple. At most
 # SHARED_PAIRS_MAX pairs are kept, about 0.7 MB at worst (4096 pairs of
-# distinct ints above 256); pairs past the bound are stored fresh in each graph
-# (a line-edge pair once per line_graphs call). Only values are promised, not
+# distinct ints above 256); pairs past the bound are stored fresh in each graph,
+# or once per call where many graphs are built at once (`_interned_pairs`: per
+# line_graphs call and per chunk that load_corpus parses in bulk), and bulk
+# calls admit pairs in order of value. Only values are promised, not
 # identity: loaders in two threads may overshoot the bound by a pair each, or
 # keep two tuples of one value.
 SHARED_PAIRS_MAX = 4096
@@ -81,6 +85,24 @@ def _int_pairs(rows: Iterable[Sequence[int]], what: str) -> list[tuple[int, int]
     return out
 
 
+def _interned_pairs(first: np.ndarray, second: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs (first[i], second[i]) of two non-negative int64 arrays, in
+    order. Each distinct pair is looked up once in the shared table, or
+    admitted in order of value while it has room, so equal pairs are one
+    tuple within a call and pairs past the bound are stored fresh once per
+    call."""
+    if not first.size:
+        return []
+    shared = _shared_pairs.get
+    width = int(second.max()) + 1
+    if (int(first.max()) + 1) * width > 2 ** 63:  # a key would overflow int64
+        return [shared(p) or _admit(p) for p in zip(first.tolist(), second.tolist())]
+    keys, which = np.unique(first * width + second, return_inverse=True)
+    distinct = [shared(p) or _admit(p)
+                for p in zip((keys // width).tolist(), (keys % width).tolist())]
+    return np.fromiter(distinct, dtype=object, count=len(distinct))[which].tolist()
+
+
 def _as_pairs(rows: Iterable[Sequence[int]], what: str) -> tuple[FeaturePair, ...]:
     pairs = _int_pairs(rows, what)
     for i, (a, b) in enumerate(pairs):
@@ -93,7 +115,7 @@ def _as_pairs(rows: Iterable[Sequence[int]], what: str) -> tuple[FeaturePair, ..
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MolecularGraph:
     """Undirected attributed graph with 2-field categorical features.
 
@@ -141,7 +163,7 @@ def make_graph(node_features, edges, edge_features) -> MolecularGraph:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineGraphView:
     """A line graph plus provenance back to its source graph.
 
@@ -265,12 +287,7 @@ def line_graphs(graphs: Sequence[MolecularGraph]) -> list[LineGraphView]:
         _recheck(i, "line graph ", graphs[i].edge_features,
                  zip(k1[rows].tolist(), k2[rows].tolist()))
 
-    width = int(edge_counts.max())
-    pairs, which = np.unique(k1 * width + k2, return_inverse=True)
-    shared = _shared_pairs.get
-    distinct = [shared(p) or _admit(p)
-                for p in zip((pairs // width).tolist(), (pairs % width).tolist())]
-    line_edges = np.fromiter(distinct, dtype=object, count=len(distinct))[which].tolist()
+    line_edges = _interned_pairs(k1, k2)
     node_features = np.fromiter(chain.from_iterable(g.node_features for g in graphs),
                                 dtype=object, count=n_nodes)
     features = node_features[origin].tolist()
@@ -331,6 +348,40 @@ def graph_from_record(obj: dict) -> MolecularGraph:
         edges.append((row[0], row[1]))
         feats.append((row[2], row[3]))
     return make_graph(nodes, edges, feats)
+
+
+def graphs_from_rows(nodes: np.ndarray, node_counts: np.ndarray, edges: np.ndarray,
+                     edge_counts: np.ndarray) -> list[MolecularGraph] | None:
+    """The graphs of many records at once: graph i has the next
+    node_counts[i] rows of `nodes` (n x 2: atom, chirality) and the next
+    edge_counts[i] rows of `edges` (m x 4: u, v, bond type, bond direction),
+    as in `graph_from_record`. Entries are int64, so below 2**63.
+
+    MolecularGraph's invariants are checked once on the arrays (no negative
+    entry, endpoints in range, u < v, no duplicate edge), and the graphs
+    are built without its per-edge loop, every pair interned as
+    `line_graphs` does. None if any graph breaks them: the caller builds
+    the records through `graph_from_record` to name the first offence.
+    """
+    n_nodes = len(nodes)
+    node_off = np.concatenate(([0], np.cumsum(node_counts)))
+    edge_off = np.concatenate(([0], np.cumsum(edge_counts)))
+    u, v = edges[:, 0], edges[:, 1]
+    if (nodes.min(initial=0) < 0 or edges.min(initial=0) < 0 or (u >= v).any()
+            or (v >= np.repeat(node_counts, edge_counts)).any()):
+        return None
+    base = np.repeat(node_off[:-1], edge_counts)  # so every edge has a corpus-wide key
+    keys = np.sort((u + base) * n_nodes + v + base)
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    pairs = _interned_pairs(np.concatenate((nodes[:, 0], edges[:, 0], edges[:, 2])),
+                            np.concatenate((nodes[:, 1], edges[:, 1], edges[:, 3])))
+    node_features, ends, edge_features = (pairs[:n_nodes], pairs[n_nodes:n_nodes + len(edges)],
+                                          pairs[n_nodes + len(edges):])
+    nb, eb = node_off.tolist(), edge_off.tolist()
+    return [_checked_graph(tuple(node_features[nb[i]:nb[i + 1]]), tuple(ends[eb[i]:eb[i + 1]]),
+                           tuple(edge_features[eb[i]:eb[i + 1]]))
+            for i in range(len(node_counts))]
 
 
 def line_graph_to_record(view: LineGraphView) -> dict:

@@ -10,6 +10,7 @@ batch losses never degenerate.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -37,6 +38,7 @@ from .graphs import (
     edge_order,
     graph_from_record,
     graph_to_record,
+    graphs_from_rows,
     line_graphs,
     to_line_graph,  # noqa: F401  (unused here; perfbench's tracer patches this name)
 )
@@ -57,6 +59,14 @@ _transform_calls = 0
 # the heap, were handed back to the system and faulted in again by the next
 # chunk (8.9k minor faults per 10k graphs, against 3.5k at 128 or fewer).
 TRANSFORM_CHUNK = 128
+
+# bytes of whole lines per bulk parse in load_corpus (`readlines`' hint: a
+# chunk ends with the line that reaches it). The parse's numpy temporaries
+# come to about 28 times the chunk's bytes. On the 5000-graph embed corpus
+# chunks of 24 KB or less loaded with about 90 minor faults, and chunks of
+# 32 KB with 5.5k: past that size the freed temporaries were handed back to
+# the system and faulted in again chunk after chunk.
+LOAD_CHUNK = 16384
 
 
 def transform_call_count() -> int:
@@ -182,37 +192,154 @@ def load_corpus(path) -> list[MolecularGraph]:
     """Read a JSONL corpus; malformed lines, invalid UTF-8 included, raise
     with their line number.
 
+    The file is read in chunks of whole lines of about LOAD_CHUNK bytes.
+    A line in the compact form `save_corpus` writes takes the bulk path:
+    the integers of a chunk's lines are parsed in one numpy pass, a line
+    is taken only if re-rendering them in that form gives back its bytes
+    (`_compact_rows`), and `graphs.graphs_from_rows` checks the graphs'
+    invariants on the arrays and builds them. Every other line, and every
+    line of a chunk whose arrays break an invariant, goes through
+    `json.loads` and `graph_from_record` in file order, so the first bad
+    line raises its usual message. A line holding nothing but JSON
+    whitespace (space, tab, CR, LF) is blank and skipped; any other line
+    that json refuses is a ParseError.
+
     Graphs without edges carry no contrastive signal; they are skipped and
     the count is reported through the logger.
     """
     graphs: list[MolecularGraph] = []
     zero_edge = 0
+    lineno = 1
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-            except (ValueError, RecursionError) as err:  # not UTF-8/JSON, too long or deep
-                raise ParseError(f"line {lineno}: {err}") from err
-            try:
-                g = graph_from_record(record)
-            except InvariantViolation as err:
-                raise InvariantViolation(f"line {lineno}: {err}") from err
-            if g.num_edges == 0:
-                zero_edge += 1
-                continue
-            graphs.append(g)
+        while lines := fh.readlines(LOAD_CHUNK):
+            for g in _chunk_graphs(lines, lineno):
+                if g.num_edges == 0:
+                    zero_edge += 1
+                else:
+                    graphs.append(g)
+            lineno += len(lines)
     if zero_edge:
         log.warning("rejected %d zero-edge graph(s) from %s", zero_edge, path)
     return graphs
 
 
+def _chunk_graphs(lines: list[bytes], lineno: int) -> list[MolecularGraph]:
+    """The graphs of consecutive corpus lines, the first of them numbered
+    `lineno`, in order; blank lines give none."""
+    taken, nodes, node_counts, edges, edge_counts = _compact_rows(lines)
+    bulk = graphs_from_rows(nodes, node_counts, edges, edge_counts)
+    if bulk is None:
+        taken[:] = False
+    elif taken.all():
+        return bulk
+    bulk = iter(bulk or ())
+    out = []
+    for i, (raw, fast) in enumerate(zip(lines, taken.tolist()), start=lineno):
+        g = next(bulk) if fast else _record_graph(raw, i)
+        if g is not None:
+            out.append(g)
+    return out
+
+
+def _record_graph(raw: bytes, lineno: int) -> MolecularGraph | None:
+    """One corpus line through `json.loads` and `graph_from_record`; None
+    for a blank line."""
+    try:
+        line = raw.decode("utf-8")
+        if not line.strip(" \t\r\n"):
+            return None
+        record = json.loads(line)
+    except (ValueError, RecursionError) as err:  # not UTF-8/JSON, too long or deep
+        raise ParseError(f"line {lineno}: {err}") from err
+    try:
+        return graph_from_record(record)
+    except InvariantViolation as err:
+        raise InvariantViolation(f"line {lineno}: {err}") from err
+
+
 def save_corpus(graphs, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for g in graphs:
-            fh.write(json.dumps(graph_to_record(g), separators=(",", ":")) + "\n")
+            fh.write(_corpus_line(graph_to_record(g)))
+
+
+def _corpus_line(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _render_skeleton(n: int, m: int) -> bytes:
+    """The line save_corpus writes for n node rows and m edge rows of
+    zeros: any line it writes for them, with each integer written as 0."""
+    return _corpus_line({"nodes": [[0, 0]] * n, "edges": [[0, 0, 0, 0]] * m}).encode()
+
+
+# lines of up to 128 rows are cached: at most 1024 lines of about 1 KB each
+_cached_skeleton = functools.lru_cache(maxsize=1024)(_render_skeleton)
+
+
+def _skeleton(n: int, m: int) -> bytes:
+    return (_cached_skeleton if n + m <= 128 else _render_skeleton)(n, m)
+
+
+_DIGITS_AS_ZERO = bytes.maketrans(b"0123456789", b"0" * 10)
+_MAX_DIGITS = 18  # so no value nears int64's end
+
+
+def _compact_rows(lines: list[bytes]):
+    """The lines among `lines` that `save_corpus` could have written, parsed
+    in one numpy pass.
+
+    Each maximal run of ASCII digits is an integer, read from its digits.
+    A line is taken only if re-rendering its integers in save_corpus's form
+    gives back its bytes. Read from its own digits, an integer renders as
+    its run exactly when the run has no leading zero (runs of more than
+    _MAX_DIGITS digits are refused); the rest of the line must equal
+    `_skeleton(n, m)` with each run written as 0, for the n node rows and
+    m edge rows that its counts of integers (2n + 4m) and of "["
+    (2 + n + m) give. So no line that `json.loads` would refuse, or read as
+    another record, is taken.
+
+    Returns (taken, nodes, node_counts, edges, edge_counts): a bool per
+    line, and the taken lines' node rows (n x 2) and edge rows (m x 4) as
+    int64 arrays, with their counts per taken line.
+    """
+    raw = b"".join(lines)
+    text = np.frombuffer(raw, dtype=np.uint8)
+    bounds = np.cumsum([0, *map(len, lines)])
+    digit = text - np.uint8(ord("0")) < 10
+    change = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    first, stop = np.flatnonzero(change == 1), np.flatnonzero(change == -1)
+    length = stop - first
+    lead = text[first] - np.uint8(ord("0"))
+    values = lead.astype(np.int64)
+    for k in range(1, min(int(length.max(initial=0)), _MAX_DIGITS)):
+        more = text[np.minimum(first + k, len(text) - 1)] - np.uint8(ord("0"))
+        values = np.where(length > k, values * 10 + more, values)
+
+    count = np.diff(np.searchsorted(first, bounds))
+    brackets = np.diff(np.searchsorted(np.flatnonzero(text == ord("[")), bounds))
+    m = count // 2 - (brackets - 2)
+    n = brackets - 2 - m
+    line = np.repeat(np.arange(len(lines)), count)
+    canonical = (length <= _MAX_DIGITS) & ((length == 1) | (lead != 0))
+    taken = ((count % 2 == 0) & (m >= 0) & (n >= 0)
+             & (np.bincount(line[~canonical], minlength=len(lines)) == 0))
+
+    # each line with every run of digits written as one 0
+    kept = np.ones(len(text), dtype=bool)
+    kept[1:] = ~(digit[1:] & digit[:-1])
+    skeleton = np.frombuffer(raw.translate(_DIGITS_AS_ZERO), dtype=np.uint8)[kept].tobytes()
+    expected = [_skeleton(a, b) if ok else b"" for a, b, ok in
+                zip(n.tolist(), m.tolist(), taken.tolist())]
+    if skeleton != b"".join(expected):
+        ends = np.cumsum(np.add.reduceat(kept, bounds[:-1], dtype=np.intp)).tolist()
+        taken = np.array([skeleton[a:b] == e for a, b, e in zip([0, *ends], ends, expected)],
+                         dtype=bool)
+
+    node = np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count) < 2 * n[line]
+    keep = taken[line]
+    return (taken, values[keep & node].reshape(-1, 2), n[taken],
+            values[keep & ~node].reshape(-1, 4), m[taken])
 
 
 def transform_corpus(corpus) -> list[tuple[MolecularGraph, LineGraphView]]:

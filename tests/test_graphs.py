@@ -305,6 +305,7 @@ class TestSharedPairs:
 
     def test_past_the_bound_pairs_are_fresh_and_graphs_unchanged(self, corpus_path,
                                                                  monkeypatch):
+        monkeypatch.setattr(pipeline, "LOAD_CHUNK", 1)  # one line per chunk
         monkeypatch.setattr(graphs, "_shared_pairs", {})
         monkeypatch.setattr(graphs, "SHARED_PAIRS_MAX", 0)
         unshared = transform_corpus(load_corpus(corpus_path))
@@ -316,9 +317,11 @@ class TestSharedPairs:
             graph_to_record(g) for g, _ in unshared]
         table = graphs._shared_pairs
         assert len(table) == 5 and all(key is value for key, value in table.items())
-        # a pair past the bound is stored fresh: two graphs hold two objects
-        first_edges = [g.edges[0] for g, _ in bounded if g.edges[0] == (0, 1)]
-        assert (0, 1) not in table and first_edges[0] is not first_edges[1]
+        # a pair past the bound is stored fresh once per chunk: two graphs
+        # loaded in two chunks hold two objects
+        first, *later = [[e for e in g.edges if e not in table] for g, _ in bounded]
+        a, b = next((e, f) for e in first for edges in later for f in edges if f == e)
+        assert a is not b
 
     def test_corpus_and_views_fit_the_memory_budget(self, tmp_path, monkeypatch):
         n = 1000

@@ -4,12 +4,16 @@ import logging
 import struct
 import tracemalloc
 from dataclasses import asdict, replace
+from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linecontrast import autodiff, encoder, losses, pipeline
+from linecontrast import autodiff, encoder, graphs, losses, pipeline
 from linecontrast.autodiff import AdamState
 from linecontrast.checkpoint import ConfigMismatch, load_checkpoint, save_checkpoint
 from linecontrast.encoder import DualHelixParams, EncoderConfig, ViewMismatch, encode_batch
@@ -156,6 +160,64 @@ class TestCorpusIO:
         with pytest.raises(ParseError, match="line 2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("blank", ["", " ", "\t", "\r", " \t\r "],
+                             ids=["empty", "space", "tab", "CR", "mixed"])
+    def test_line_of_json_whitespace_is_blank(self, tmp_path, blank):
+        path = tmp_path / "blank.jsonl"
+        good = '{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,0]]}\n'
+        path.write_bytes((good + blank + "\n" + good).encode())
+        assert len(load_corpus(path)) == 2
+
+    @pytest.mark.parametrize("space", ["\xa0", "\u3000", "\u2028", "\x0b", "\x0c", "\x1c"],
+                             ids=["nbsp", "ideographic", "line separator", "VT", "FF", "FS"])
+    def test_line_of_other_whitespace_names_line(self, tmp_path, space):
+        # str.strip() empties these lines, but json.loads refuses every one
+        path = tmp_path / "bad.jsonl"
+        good = '{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,0]]}\n'
+        path.write_bytes((good + space + "\n" + good).encode())
+        with pytest.raises(ParseError) as err:
+            load_corpus(path)
+        assert str(err.value) == "line 2: Expecting value: line 1 column 1 (char 0)"
+
+    def test_crlf_and_spaced_lines_load_like_compact_ones(self, tmp_path):
+        corpus = [random_molecular_graph(i, (2, 12), 4) for i in range(5)]
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, path)
+        lines = path.read_bytes().splitlines()
+        spaced = json.dumps(json.loads(lines[2])).encode()  # the README's spacing
+        path.write_bytes(b"\r\n".join(lines[:2] + [spaced] + lines[3:]) + b"\r\n")
+        assert load_corpus(path) == corpus
+
+    @pytest.mark.parametrize("edges, message", [
+        ("[0,2,0,0]", "edge 1: endpoint (0, 2) outside 0..1"),
+        ("[1,1,0,0]", "edge 1: self-loop at node 1"),
+        ("[1,0,0,0]", "edge 1: endpoints (1, 0) not stored as u < v"),
+        ("[0,1,1,0]", "edge 1: duplicate edge (0, 1)"),
+    ], ids=["outside", "self-loop", "reversed", "duplicate"])
+    def test_compact_line_that_breaks_an_invariant_names_it(self, tmp_path, edges, message):
+        # the compact lines take the bulk path, whose array checks find the
+        # bad line; its message is the per-record path's
+        path = tmp_path / "bad.jsonl"
+        good = '{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,0]]}\n'
+        bad = '{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,0],' + edges + ']}\n'
+        path.write_text(good * 3 + bad + good)
+        with pytest.raises(InvariantViolation) as err:
+            load_corpus(path)
+        assert str(err.value) == f"line 4: {message}"
+
+    def test_save_corpus_lines_take_the_bulk_path(self, tmp_path, monkeypatch):
+        corpus = [random_molecular_graph(i, (2, 20), 5) for i in range(300)]
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, path)
+
+        def refuse(*args):
+            raise AssertionError("a save_corpus line took the per-record path")
+
+        monkeypatch.setattr(graphs, "graph_from_record", refuse)
+        monkeypatch.setattr(pipeline, "graph_from_record", refuse)
+        monkeypatch.setattr(json, "loads", refuse)
+        assert load_corpus(path) == corpus
+
     def test_zero_edge_graphs_rejected_with_count(self, tmp_path, caplog):
         path = tmp_path / "mixed.jsonl"
         rows = [
@@ -168,6 +230,73 @@ class TestCorpusIO:
             corpus = load_corpus(path)
         assert len(corpus) == 1
         assert "2 zero-edge" in caplog.text
+
+
+# category indices: mostly small, some of 18 and 19 digits (the bulk path
+# parses up to 18 and leaves longer ones to the per-record path)
+_INDICES = st.integers(0, 12) | st.sampled_from([10**17, 10**18 - 1, 10**18, 2**63 - 1])
+
+
+@st.composite
+def saved_graphs(draw):
+    """A graph as save_corpus writes it: edges in drawn order, isolated
+    nodes and graphs without edges included."""
+    n = draw(st.integers(0, 7))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=8,
+                          unique=True)) if n > 1 else []
+    pairs = st.tuples(_INDICES, _INDICES)
+    return make_graph(draw(st.lists(pairs, min_size=n, max_size=n)), edges,
+                      draw(st.lists(pairs, min_size=len(edges), max_size=len(edges))))
+
+
+# bytes spliced into a saved corpus: digits and a leading zero, signs,
+# JSON punctuation, JSON whitespace and other spaces, what json reads as a
+# float or another value, integers of 18 to 20 digits and 2**63, bytes that
+# are not UTF-8, and line breaks that make blank lines
+_SPLICES = [b"0", b"00", b"7", b"-", b"+", b",", b"[", b"]", b"{", b"}", b'"', b":", b" ",
+            b"\t", b"\r", b"\n", b"\n\n", b"1e2", b".5", b"true", b"null",
+            b"999999999999999999", b"1000000000000000000", b"12345678901234567890",
+            b"9223372036854775808", b"\xff", b"\xc2\xa0", b"\x0c", b""]
+
+
+def per_record_load(path) -> list:
+    """load_corpus through its per-record path alone, line by line: the
+    oracle for the bulk path."""
+    loaded = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            g = pipeline._record_graph(raw, lineno)
+            if g is not None and g.num_edges:
+                loaded.append(g)
+    return loaded
+
+
+def load_outcome(load, path):
+    """The graphs `load` reads from path, or the type and message it raises."""
+    try:
+        return load(path)
+    except (ParseError, InvariantViolation) as err:
+        return type(err), str(err)
+
+
+class TestBulkLoad:
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=st.lists(saved_graphs(), max_size=12), chunk=st.integers(1, 400),
+           data=st.data())
+    def test_mutated_saved_corpus_loads_as_the_per_record_path_does(self, tmp_path_factory,
+                                                                    corpus, chunk, data):
+        path = tmp_path_factory.mktemp("bulk") / "corpus.jsonl"
+        save_corpus(corpus, path)
+        raw = path.read_bytes()
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(raw)))
+            raw = (raw[:at] + data.draw(st.sampled_from(_SPLICES))
+                   + raw[at + data.draw(st.integers(0, 2)):])
+        if data.draw(st.booleans()):
+            raw = raw.removesuffix(b"\n")  # no final newline
+        path.write_bytes(raw)
+        with mock.patch.object(pipeline, "LOAD_CHUNK", chunk):
+            assert load_outcome(load_corpus, path) == load_outcome(per_record_load, path)
 
 
 class TestTransformCorpus:
@@ -361,6 +490,25 @@ class TestTrainStep:
             tracemalloc.stop()
         assert len(pairs) == len(corpus)
         assert peak - held < 595_000, (peak - held, held - base)
+
+
+    def test_load_allocation_peak_stays_in_budget(self, tmp_path):
+        # beyond the graphs it returns, load_corpus over these 2000 saved
+        # graphs peaked at 0.45 MB under tracemalloc in chunks of LOAD_CHUNK
+        # bytes, and at 1.1 MB in chunks of 128 lines (38 KB); the bound is
+        # the measured peak plus 10% headroom
+        path = tmp_path / "corpus.jsonl"
+        save_corpus([random_molecular_graph(i, (6, 24), 4) for i in range(2000)], path)
+        load_corpus(path)  # the first call's one-time allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            corpus = load_corpus(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 2000
+        assert peak - held < 497_000, (peak - held, held - base)
 
 
 class TestCheckpoint:
