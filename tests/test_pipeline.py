@@ -207,6 +207,7 @@ class TestCorpusIO:
 
     def test_save_corpus_lines_take_the_bulk_path(self, tmp_path, monkeypatch):
         corpus = [random_molecular_graph(i, (2, 20), 5) for i in range(300)]
+        corpus.append(make_graph([[10**17, 0], [0, 10**18 - 1]], [(0, 1)], [[10**18 - 1, 1]]))
         path = tmp_path / "corpus.jsonl"
         save_corpus(corpus, path)
 
@@ -232,11 +233,6 @@ class TestCorpusIO:
         assert "2 zero-edge" in caplog.text
 
 
-# category indices: mostly small, some of 18 and 19 digits (the bulk path
-# parses up to 18 and leaves longer ones to the per-record path)
-_INDICES = st.integers(0, 12) | st.sampled_from([10**17, 10**18 - 1, 10**18, 2**63 - 1])
-
-
 @st.composite
 def saved_graphs(draw):
     """A graph as save_corpus writes it: edges in drawn order, isolated
@@ -244,7 +240,7 @@ def saved_graphs(draw):
     n = draw(st.integers(0, 7))
     edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=8,
                           unique=True)) if n > 1 else []
-    pairs = st.tuples(_INDICES, _INDICES)
+    pairs = st.tuples(st.integers(0, 12), st.integers(0, 12))
     return make_graph(draw(st.lists(pairs, min_size=n, max_size=n)), edges,
                       draw(st.lists(pairs, min_size=len(edges), max_size=len(edges))))
 
@@ -280,6 +276,15 @@ def load_outcome(load, path):
 
 
 class TestBulkLoad:
+    @pytest.mark.parametrize("entry", ["01", "00", "-1", "+1", "1e2", "1.0", "true", " 1", "",
+                                       "9" * 18, "1" * 19, "9223372036854775808", "1" * 20])
+    def test_near_compact_line_loads_as_the_per_record_path_does(self, tmp_path, entry):
+        path = tmp_path / "corpus.jsonl"
+        good = '{"nodes":[[0,0],[0,0]],"edges":[[0,1,0,0]]}\n'
+        near = '{"nodes":[[0,0],[' + entry + ',0]],"edges":[[0,1,0,0]]}\n'
+        path.write_text(good * 2 + near + good)
+        assert load_outcome(load_corpus, path) == load_outcome(per_record_load, path)
+
     @settings(max_examples=300, deadline=None)
     @given(corpus=st.lists(saved_graphs(), max_size=12), chunk=st.integers(1, 400),
            data=st.data())
