@@ -267,18 +267,14 @@ def _corpus_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":")) + "\n"
 
 
-def _render_skeleton(n: int, m: int) -> bytes:
+def _skeleton(n: int, m: int) -> bytes:
     """The line save_corpus writes for n node rows and m edge rows of
     zeros: any line it writes for them, with each integer written as 0."""
     return _corpus_line({"nodes": [[0, 0]] * n, "edges": [[0, 0, 0, 0]] * m}).encode()
 
 
-# lines of up to 128 rows are cached: at most 1024 lines of about 1 KB each
-_cached_skeleton = functools.lru_cache(maxsize=1024)(_render_skeleton)
-
-
-def _skeleton(n: int, m: int) -> bytes:
-    return (_cached_skeleton if n + m <= 128 else _render_skeleton)(n, m)
+# the skeletons of lines of up to 128 rows: at most 1024 of about 1 KB each
+_small_skeleton = functools.lru_cache(maxsize=1024)(_skeleton)
 
 
 _DIGITS_AS_ZERO = bytes.maketrans(b"0123456789", b"0" * 10)
@@ -329,8 +325,8 @@ def _compact_rows(lines: list[bytes]):
     kept = np.ones(len(text), dtype=bool)
     kept[1:] = ~(digit[1:] & digit[:-1])
     skeleton = np.frombuffer(raw.translate(_DIGITS_AS_ZERO), dtype=np.uint8)[kept].tobytes()
-    expected = [_skeleton(a, b) if ok else b"" for a, b, ok in
-                zip(n.tolist(), m.tolist(), taken.tolist())]
+    expected = [(_small_skeleton if a + b <= 128 else _skeleton)(a, b) if ok else b""
+                for a, b, ok in zip(n.tolist(), m.tolist(), taken.tolist())]
     if skeleton != b"".join(expected):
         ends = np.cumsum(np.add.reduceat(kept, bounds[:-1], dtype=np.intp)).tolist()
         taken = np.array([skeleton[a:b] == e for a, b, e in zip([0, *ends], ends, expected)],

@@ -496,7 +496,6 @@ class TestTrainStep:
         assert len(pairs) == len(corpus)
         assert peak - held < 595_000, (peak - held, held - base)
 
-
     def test_load_allocation_peak_stays_in_budget(self, tmp_path):
         # beyond the graphs it returns, load_corpus over these 2000 saved
         # graphs peaked at 0.45 MB under tracemalloc in chunks of LOAD_CHUNK
