@@ -370,7 +370,7 @@ def graphs_from_rows(nodes: np.ndarray, node_counts: np.ndarray, edges: np.ndarr
     if (nodes.min(initial=0) < 0 or edges.min(initial=0) < 0 or (u >= v).any()
             or (v >= np.repeat(node_counts, edge_counts)).any()):
         return None
-    base = np.repeat(node_off[:-1], edge_counts)  # so every edge has a corpus-wide key
+    base = np.repeat(node_off[:-1], edge_counts)  # so edges of two graphs never share a key
     keys = np.sort((u + base) * n_nodes + v + base)
     if (keys[1:] == keys[:-1]).any():
         return None
