@@ -411,58 +411,78 @@ def l2_normalize_rows(x) -> Tensor:
 
 # --- fused contrastive cross-entropy -----------------------------------------
 #
-# Both kernels contrast the rows of a against the rows of b through the
-# similarities s = a b^T, with the positives on the diagonal and a set of
-# negatives for each anchor. A row anchor i contributes
+# group_xent contrasts the rows of a against the rows of b through the
+# similarities s = a b^T, with the positives on the diagonal and the rows
+# sorted into groups, in two terms. A row anchor i contributes
 #     -s_ii / tau + logsumexp_{j in mask_i} s_ij / tau
 # where the mask holds the negatives only, never the positive (the strict
 # form of GraphCL's loss); anchors without negatives are dropped. Its
 # gradient on s is (softmax over the masked row - onehot(i)) / tau.
 #
-# group_xent reads s = a b^T in both directions: column j anchors the same
-# way on s_jj against the rows of the other groups. It never holds s whole:
-# it walks row tiles of s twice, holding at most two tiles at a time.
-# Every exp needs a shift that keeps it finite and normal. By Cauchy-Schwarz
-# |s_ij| / tau <= B = max_i |a_i| max_j |b_j| / tau, so while the span 2B
-# of the logits stays below SHARED_SHIFT_SPAN one shared shift, zero, is
-# exact: every exp lies within e^(+-B), about 1e(+-152), and so does every
-# sum of them over fewer than 1e150 terms. On unit rows B = 1 / tau,
-# 10 at tau = 0.1. Pass 1 then takes one exp per similarity and finishes
-# each row's sum inside its tile while it accumulates the column sums;
-# pass 2 walks the tiles in reverse order, so the last tile of pass 1 is
-# reused from its buffer, and re-exps every other tile: two exps per
-# similarity. A finite B also bounds every similarity, so only the exact
-# path checks them. Beyond the span each row and each column takes its
-# own exact max shift: pass 1 carries each column's max and sum across the
-# tiles with the online softmax update (Milakov & Gimelshein, 2018), and
-# pass 2 finishes each row's log-sum-exp inside its tile, three exps per
-# similarity in all. Either way pass 2 turns each tile into the gradient
-# on s, P_row + P_col - 2 on the diagonal (times g / (k tau)), and carries
-# it to a and b, which are all the tape keeps.
-# block_xent runs one direction per block, on one padded stack per
-# power-of-two width. Both kernels follow one contract: forward forms the
-# masked softmax once, turns (softmax - onehot) into the gradients on a
-# and b, keeps only those two E x d arrays and records the mean over the k
-# anchors; backward scales them by g / (k tau).
+# The cross term reads s in both directions, the negatives in the other
+# groups: column j anchors the same way on s_jj against the rows of the
+# other groups. The within term reads s one way, row i against the other
+# columns of its own group, which sorted ids put in one window. The kernel
+# never holds s whole: it walks row tiles of s twice, holding at most two
+# tiles at a time. Every exp needs a shift that keeps it finite and
+# normal. By Cauchy-Schwarz |s_ij| / tau <= B = max_i |a_i| max_j |b_j| / tau,
+# so while the span 2B of the logits stays below SHARED_SHIFT_SPAN one
+# shared shift, zero, is exact for the cross term: every exp lies within
+# e^(+-B), about 1e(+-152), and so does every sum of them over fewer than
+# 1e150 terms. On unit rows B = 1 / tau, 10 at tau = 0.1. Pass 1 then takes
+# one exp per similarity and finishes each row's sum inside its tile while
+# it accumulates the column sums; pass 2 walks the tiles in reverse order,
+# so the last tile of pass 1 is reused from its buffer, and re-exps every
+# other tile: two exps per similarity. A finite B also bounds every
+# similarity, so only the exact path checks them. Beyond the span each row
+# and each column takes its own exact max shift: pass 1 carries each
+# column's max and sum across the tiles with the online softmax update
+# (Milakov & Gimelshein, 2018), and pass 2 finishes each row's log-sum-exp
+# inside its tile, three exps per similarity in all. Either way pass 2
+# turns each tile into the cross term's gradient on s, P_row + P_col - 2 on
+# the diagonal.
+#
+# The within term takes each tile's own-group entries compactly, one
+# segment per row, by their flat positions in the tile (the same positions
+# mask them for the cross term), never a copy of the own-group window:
+# sum_g E_g^2 entries in all, where E_g is the size of group g. Pass 1
+# finishes each row's log-sum-exp under its own exact max shift; pass 2
+# reads the entries again (the reused last tile's from a stash of its
+# segments) and adds (softmax - onehot), weighted against the cross term,
+# into the same gradient tile: two exps per own-group entry. A zero weight
+# skips its term; with alpha = 0 every tile is formed only over its rows'
+# own groups' columns. Pass 2 carries each gradient tile to a and b with
+# two GEMMs, and those two E x d arrays are all the tape keeps; backward
+# scales them by g times the first term's weight over its anchor count,
+# over tau.
 
 TILE_ENTRIES = 1 << 18  # similarity entries per row tile of group_xent
 SHARED_SHIFT_SPAN = 700.0  # logit span 2B below which the zero shift is exact
 
 
-def group_xent(a, b, group_ids, tau: float) -> tuple[Tensor | None, int]:
-    """Mean contrastive cross-entropy of s = a @ b.T read in both
-    directions, with the negatives of each anchor in the other groups.
+def group_xent(a, b, group_ids, tau: float, alpha: float = 1.0, beta: float = 0.0
+               ) -> tuple[Tensor | None, tuple[float, int], tuple[float, int]]:
+    """alpha times the mean contrastive cross-entropy of s = a @ b.T read in
+    both directions against the other groups, plus beta times the mean of
+    its rows read against their own groups.
 
     Rows of `a` and `b` are expected to be L2-normalised, so s holds cosine
     similarities, and `group_ids` gives each row's group in sorted order.
-    Row i anchors with positive s_ii against the columns of other groups;
-    column j anchors with positive s_jj against the rows of other groups.
-    Returns (mean over all 2E anchor terms as a 1 x 1 tensor, 2E), or
-    (None, 0) when every row is in one group. One tape node; it holds at
-    most two row tiles of TILE_ENTRIES entries at a time. It takes two exps
-    per similarity under one shared shift while the row norms and tau bound
-    the logits' span below SHARED_SHIFT_SPAN, and three under exact per-row
-    and per-column shifts beyond it.
+    Cross term: row i anchors with positive s_ii against the columns of
+    other groups, column j with positive s_jj against the rows of other
+    groups, 2n anchors for n rows in two groups or more. Within term: row i
+    anchors against the other columns of its group; rows alone in their
+    group drop out. A term whose weight is zero is skipped and has no
+    anchors.
+
+    Returns (alpha * cross mean + beta * within mean as a 1 x 1 tensor,
+    (cross mean, cross anchors), (within mean, within anchors)); a term
+    without anchors reads (0.0, 0), and the tensor is None when neither
+    term has one. One tape node; it
+    holds at most two row tiles of TILE_ENTRIES entries at a time. The
+    cross term takes two exps per similarity under one shared shift while
+    the row norms and tau bound the logits' span below SHARED_SHIFT_SPAN,
+    and three under exact per-row and per-column shifts beyond it.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
@@ -471,8 +491,24 @@ def group_xent(a, b, group_ids, tau: float) -> tuple[Tensor | None, int]:
     ids = np.asarray(group_ids).reshape(-1)
     if ids.size != n or (np.diff(ids) < 0).any():
         raise ShapeMismatch(f"group_xent: need {n} sorted group ids, got {ids.size}")
-    if n == 0 or ids[0] == ids[-1]:
-        return None, 0
+    # row i's own group is the column window first[i]:last[i]; its segment
+    # of the compact own-group entries is seg[i]:seg[i + 1], where the
+    # diagonal sits at own_diag[i]
+    first = np.searchsorted(ids, ids, "left")
+    last = np.searchsorted(ids, ids, "right")
+    size = last - first
+    seg = np.concatenate([[0], np.cumsum(size)])
+    own_diag = seg[:-1] + np.arange(n) - first
+    cross = alpha > 0 and n > 0 and ids[0] != ids[-1]
+    kept = (size > 1) & (beta > 0)
+    k_cross, k_within = 2 * n if cross else 0, int(np.count_nonzero(kept))
+    if not (k_cross or k_within):
+        return None, (0.0, 0), (0.0, 0)
+    within = k_within > 0
+    # the gradient tile is in units of the first term's weight over its
+    # anchors; the within term enters it weighted against that unit
+    unit = alpha * (1.0 / k_cross) if cross else beta * (1.0 / k_within)
+    w_within = beta * (1.0 / k_within) / unit if within else 0.0
     a_data, b_data = a.data, b.data
     a_tau = a_data * (1.0 / tau)  # s / tau comes out of the matmul
     # B through np.linalg.norm, as l2_normalize_rows takes norms: an einsum
@@ -483,64 +519,89 @@ def group_xent(a, b, group_ids, tau: float) -> tuple[Tensor | None, int]:
     shared = 2.0 * bound < SHARED_SHIFT_SPAN
     height = max(1, min(n, TILE_ENTRIES // n))
     tiles = [(r0, min(r0 + height, n)) for r0 in range(0, n, height)]
+    # a tile of either buffer keeps rows n apart, whatever its width
     x_buf = np.empty((height, n))
     e_buf = np.empty((height, n))
+    x_flat, e_flat = x_buf.reshape(-1), e_buf.reshape(-1)
     diag = np.empty(n)
+    lse_own = np.empty(n)
 
-    def logits(r0: int, r1: int, first_pass: bool) -> np.ndarray:
-        """The tile's s / tau, -inf where a row meets its own group, or
-        under the shared shift its exp, 0 on the own group. The first pass
-        keeps the positives and, on the exact path, checks the tile."""
-        x = x_buf[:r1 - r0]
-        np.matmul(a_tau[r0:r1], b_data.T, out=x)
+    def logits(r0: int, r1: int, first_pass: bool):
+        """The tile's s / tau, over every column with the cross term and
+        over its rows' own groups alone without it; the flat positions of
+        its own-group entries in either buffer, one segment per row; and
+        with the within term those entries as read, the diagonal at -inf.
+        With the cross term the own groups then read -inf, or under the
+        shared shift the tile holds exps, 0 there. The first pass keeps the
+        positives and, on the exact path, checks the tile."""
+        lo = 0 if cross else int(first[r0])
+        x = x_buf[:r1 - r0, :n if cross else int(last[r1 - 1]) - lo]
+        np.matmul(a_tau[r0:r1], b_data[lo:lo + x.shape[1]].T, out=x)
         if first_pass:
             if not shared:
                 check_finite(x, "similarity")
             t = np.arange(r1 - r0)
-            diag[r0:r1] = x[t, r0 + t]
-        # sorted ids put the tile's own-group columns in one window
-        c0 = int(np.searchsorted(ids, ids[r0], "left"))
-        c1 = int(np.searchsorted(ids, ids[r1 - 1], "right"))
-        np.copyto(x[:, c0:c1], -np.inf, where=ids[r0:r1, None] == ids[None, c0:c1])
-        if shared:
-            np.exp(x, out=x)
-        return x
+            diag[r0:r1] = x[t, r0 - lo + t]
+        row_at = np.arange(r1 - r0) * n + first[r0:r1] - lo - seg[r0:r1]
+        at = np.repeat(row_at, size[r0:r1]) + np.arange(seg[r0], seg[r1])
+        own = None
+        if within:
+            own = x_flat[at]
+            own[own_diag[r0:r1] - seg[r0]] = -np.inf
+        if cross:
+            x_flat[at] = -np.inf
+            if shared:
+                np.exp(x, out=x)
+        return x, at, own
 
-    # pass 1: each column's sum of exp, carried across the tiles
+    # pass 1: each column's sum of exp, carried across the tiles, and each
+    # row's within log-sum-exp under its own max shift
     col_sum = np.zeros(n)
-    if shared:
-        row_sum = np.empty(n)
-        for r0, r1 in tiles:
-            e = logits(r0, r1, True)
-            row_sum[r0:r1] = e.sum(axis=1)
-            col_sum += e.sum(axis=0)
+    row_sum = np.empty(n)
+    col_max = np.full(n, -np.inf)
+    for r0, r1 in tiles:
+        x, at, own = logits(r0, r1, True)
+        if within:
+            starts = seg[r0:r1] - seg[r0]
+            top = np.maximum.reduceat(own, starts)
+            top[np.isneginf(top)] = 0.0  # rows alone in their group
+            e = own - np.repeat(top, size[r0:r1])
+            np.exp(e, out=e)
+            # +inf for a dropped row, so pass 2 exps its segment to 0
+            lse_own[r0:r1] = np.log(np.add.reduceat(e, starts), out=np.full(r1 - r0, np.inf),
+                                    where=kept[r0:r1]) + top
+        if not cross:
+            continue
+        if shared:
+            row_sum[r0:r1] = x.sum(axis=1)
+            col_sum += x.sum(axis=0)
+            continue
+        e = e_buf[:r1 - r0]
+        new_max = np.maximum(col_max, x.max(axis=0))
+        # a column masked in every row so far has nothing to sum yet
+        shift = np.where(np.isneginf(new_max), 0.0, new_max)
+        col_sum *= np.exp(col_max - shift)
+        np.subtract(x, shift, out=e)
+        np.exp(e, out=e)
+        col_sum += e.sum(axis=0)
+        col_max = new_max
+    if cross and shared:
         lse_row, lse_col = np.log(row_sum), np.log(col_sum)
         inv_row, inv_col = 1.0 / row_sum, 1.0 / col_sum
-    else:
-        col_max = np.full(n, -np.inf)
-        for r0, r1 in tiles:
-            x = logits(r0, r1, True)
-            e = e_buf[:r1 - r0]
-            new_max = np.maximum(col_max, x.max(axis=0))
-            # a column masked in every row so far has nothing to sum yet
-            shift = np.where(np.isneginf(new_max), 0.0, new_max)
-            col_sum *= np.exp(col_max - shift)
-            np.subtract(x, shift, out=e)
-            np.exp(e, out=e)
-            col_sum += e.sum(axis=0)
-            col_max = new_max
-        lse_col = np.log(col_sum) + col_max
-        lse_row = np.empty(n)
+    elif cross:
+        lse_row, lse_col = np.empty(n), np.log(col_sum) + col_max
 
-    # pass 2: the gradient on s, P_row + P_col - 2 on the diagonal (times
-    # g / (k tau)), carried to a and b; the exact shifts also finish each
-    # row's log-sum-exp here
+    # pass 2: the gradient tile on s, carried to a and b; the exact shifts
+    # also finish each row's cross log-sum-exp here
     ga = np.empty_like(a_data)
     gb_t = np.zeros((a.shape[1], n))
     for k, (r0, r1) in enumerate(reversed(tiles)):
-        x = x_buf[:r1 - r0] if k == 0 else logits(r0, r1, False)
-        e = e_buf[:r1 - r0]
-        if shared:
+        if k:  # the last tile of pass 1 is still in its buffer, with its stash
+            x, at, own = logits(r0, r1, False)
+        e = e_buf[:r1 - r0, :x.shape[1]]
+        if not cross:
+            e.fill(0.0)
+        elif shared:
             np.copyto(e, inv_col)   # then add in place: cheaper than a broadcast add
             e += inv_row[r0:r1, None]
             e *= x
@@ -548,99 +609,40 @@ def group_xent(a, b, group_ids, tau: float) -> tuple[Tensor | None, int]:
             row_max = x.max(axis=1, keepdims=True)
             np.subtract(x, row_max, out=e)
             np.exp(e, out=e)
-            row_sum = e.sum(axis=1, keepdims=True)
-            lse_row[r0:r1] = np.log(row_sum[:, 0]) + row_max[:, 0]
-            e *= 1.0 / row_sum
+            tile_sum = e.sum(axis=1, keepdims=True)
+            lse_row[r0:r1] = np.log(tile_sum[:, 0]) + row_max[:, 0]
+            e *= 1.0 / tile_sum
             x -= lse_col
             np.exp(x, out=x)
             e += x
-        t = np.arange(r1 - r0)
-        e[t, r0 + t] -= 2.0
-        np.matmul(e, b_data, out=ga[r0:r1])
-        gb_t += a_data[r0:r1].T @ e
-    total = float((lse_row - diag).sum()) + float((lse_col - diag).sum())
-    k = 2 * n
+        if cross:
+            t = np.arange(r1 - r0)
+            e[t, r0 + t] -= 2.0
+        if within:
+            own -= np.repeat(lse_own[r0:r1], size[r0:r1])
+            np.exp(own, out=own)
+            own[own_diag[r0:r1] - seg[r0]] -= kept[r0:r1]
+            own *= w_within
+            e_flat[at] += own
+        lo = 0 if cross else int(first[r0])
+        np.matmul(e, b_data[lo:lo + e.shape[1]], out=ga[r0:r1])
+        gb_t[:, lo:lo + e.shape[1]] += a_data[r0:r1].T @ e
+    mean_cross = mean_within = 0.0
+    value = 0.0
+    if cross:
+        total = float((lse_row - diag).sum()) + float((lse_col - diag).sum())
+        mean_cross = total * (1.0 / k_cross)
+        value += alpha * mean_cross
+    if within:
+        mean_within = float((lse_own - diag)[kept].sum()) * (1.0 / k_within)
+        value += beta * mean_within
 
     def backward(g):
-        c = float(g[0, 0]) * (1.0 / k) / tau
+        c = float(g[0, 0]) * unit / tau
         return ga * c, gb_t.T * c
 
-    return _apply(_tape_of(a, b), np.array([[total * (1.0 / k)]]), (a, b), backward), k
-
-
-def block_xent(a, b, offsets: np.ndarray, tau: float) -> tuple[Tensor | None, int]:
-    """Mean one-direction contrastive cross-entropy of a @ b.T restricted
-    to the diagonal blocks that `offsets` cuts out, without forming the
-    off-block entries.
-
-    Rows offsets[g]:offsets[g + 1] of `a` and `b` form block g; rows are
-    expected to be L2-normalised, so the products are cosine similarities.
-    Each row of `a` anchors against the rows of `b` in its own block. The
-    blocks are padded into one stack per power of two, each block to the
-    least power of two at or above its size, so padding stays within 4 x
-    the sum of squared block sizes however skewed the sizes are. One
-    batched matmul per stack gives its blocks' similarities; padding never
-    enters a sum. Blocks of one row have no negatives and drop out.
-    Returns (mean over the k kept anchors as a 1 x 1 tensor, k), or
-    (None, 0) when no block has two rows. One tape node; the padded stacks
-    are freed in forward and only the gradients on a and b are kept.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"block_xent: {a.shape} vs {b.shape}")
-    offsets = np.asarray(offsets, dtype=np.int64)
-    sizes = np.diff(offsets)
-    if offsets[0] != 0 or offsets[-1] != a.shape[0] or (sizes < 0).any():
-        raise ShapeMismatch(f"block_xent: offsets do not cut {a.shape[0]} rows into blocks")
-    block = np.repeat(np.arange(sizes.size), sizes)
-    slot = np.arange(a.shape[0]) - offsets[block]
-    # frexp's exponent of s - 1 is its bit length: 1 << it is the least
-    # power of two >= s (1 for s = 1)
-    widths = np.left_shift(1, np.frexp(sizes - 1)[1])
-    total, k = 0.0, 0
-    ga = np.empty_like(a.data)
-    gb = np.empty_like(b.data)
-    for width in sorted(set(widths.tolist())):
-        stacked = widths == width
-        rows = np.flatnonzero(stacked[block])
-        i = (np.cumsum(stacked) - 1)[block[rows]]  # block within the stack
-        j = slot[rows]
-        n = sizes[stacked, None]
-        a_pad = np.zeros((n.size, width, a.shape[1]))
-        b_pad = np.zeros_like(a_pad)
-        a_pad[i, j] = a.data[rows]
-        b_pad[i, j] = b.data[rows]
-        x = a_pad @ b_pad.transpose(0, 2, 1)  # similarities, worked on in place
-        x *= 1.0 / tau
-        check_finite(x, "similarity")
-        valid = np.arange(width) < n
-        keep = valid & (n > 1)
-        d = np.arange(width)
-        # an anchor sums over the other rows of its block
-        masked = ~(valid[:, :, None] & valid[:, None, :])
-        masked[:, d, d] = True
-        pos = x[:, d, d][keep]
-        np.copyto(x, -np.inf, where=masked)
-        shift = x.max(axis=-1, keepdims=True)
-        shift[np.isneginf(shift)] = 0.0  # padding rows and one-row blocks
-        x -= shift
-        np.exp(x, out=x)
-        row_sum = x.sum(axis=-1, keepdims=True)
-        total += float((np.log(row_sum[keep][:, 0]) + shift[keep][:, 0] - pos).sum())
-        k += int(np.count_nonzero(keep))
-        # softmax - onehot on the kept anchors, 0 on the dropped ones and padding
-        x *= np.divide(1.0, row_sum, out=np.zeros_like(row_sum), where=keep[..., None])
-        x[:, d, d] -= keep
-        ga[rows] = (x @ b_pad)[i, j]
-        gb[rows] = (x.transpose(0, 2, 1) @ a_pad)[i, j]
-    if k == 0:
-        return None, 0
-
-    def backward(g):
-        c = float(g[0, 0]) * (1.0 / k) / tau
-        return ga * c, gb * c
-
-    return _apply(_tape_of(a, b), np.array([[total * (1.0 / k)]]), (a, b), backward), k
+    return (_apply(_tape_of(a, b), np.array([[value]]), (a, b), backward),
+            (mean_cross, k_cross), (mean_within, k_within))
 
 
 # --- Adam ---------------------------------------------------------------------

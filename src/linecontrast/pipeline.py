@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .autodiff import AdamState, Tape, ZeroNormRow, add, adam_step, scale
+from .autodiff import AdamState, Tape, ZeroNormRow, add, adam_step
 from .checkpoint import ConfigMismatch, load_checkpoint, save_checkpoint
 from .encoder import (
     BatchEncoding,
@@ -42,7 +42,15 @@ from .graphs import (
     line_graphs,
     to_line_graph,  # noqa: F401  (unused here; perfbench's tracer patches this name)
 )
-from .losses import LossReport, NonFinite, combine, inter_local, intra_local, nt_xent
+from .losses import (  # perfbench/hooks.py patches pipeline.inter_local and intra_local by name
+    LossReport,
+    NonFinite,
+    combine,
+    inter_local,  # noqa: F401
+    intra_local,  # noqa: F401
+    local_losses,
+    nt_xent,
+)
 
 log = logging.getLogger("linecontrast")
 
@@ -163,15 +171,14 @@ class TrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
+        for name, minimum in (("epochs", 1), ("batch_size", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < minimum:  # a bool is an int to isinstance
+                raise ValueError(f"{name} must be an int of at least {minimum}, "
+                                 f"got {reprlib.repr(value)}")
         if not 0 < self.learning_rate < math.inf:  # False for NaN too
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {reprlib.repr(self.seed)}")
 
 
 def desk_train_config(**overrides) -> TrainConfig:
@@ -367,28 +374,17 @@ def compute_step_losses(batch: Batch, enc: BatchEncoding, cfg: EncoderConfig):
     """Tape-level losses for one batch at cfg's tau, alpha and beta, with
     zero-weight short-circuiting.
 
-    Returns (total tensor, report floats). Losses whose weight is zero are
-    skipped entirely and reported as exact zeros. The report is checked
-    before the weighted total goes on the tape, so a total that overflows
-    raises NonFinite without a numpy warning.
+    Returns (total tensor, report floats). The two local losses come from
+    one local_losses call; a loss whose weight is zero is skipped entirely
+    and reported as an exact zero. The report is checked before the
+    weighted total goes on the tape, so a total that overflows raises
+    NonFinite without a numpy warning.
     """
     l_graph, n_graph = nt_xent(enc.z_graph, enc.z_line, cfg.tau)
-    l_inter, n_inter = None, 0
-    if cfg.alpha > 0:
-        l_inter, n_inter = inter_local(enc.edge_pair, enc.line_node_embeddings,
-                                       batch.edge_offsets, cfg.tau)
-    l_intra, n_intra = None, 0
-    if cfg.beta > 0:
-        l_intra, n_intra = intra_local(enc.edge_pair, enc.line_node_embeddings,
-                                       batch.edge_offsets, cfg.tau)
-    report = combine(l_graph.item(), 0.0 if l_intra is None else l_intra.item(),
-                     0.0 if l_inter is None else l_inter.item(), cfg,
-                     counts=(n_graph, n_intra, n_inter))
-    total = l_graph
-    for loss, weight in ((l_inter, cfg.alpha), (l_intra, cfg.beta)):
-        if loss is not None:
-            total = add(total, scale(loss, weight))
-    return total, report
+    local, (l_inter, n_inter), (l_intra, n_intra) = local_losses(
+        enc.edge_pair, enc.line_node_embeddings, batch.edge_offsets, cfg.tau, cfg.alpha, cfg.beta)
+    report = combine(l_graph.item(), l_intra, l_inter, cfg, counts=(n_graph, n_intra, n_inter))
+    return (l_graph if local is None else add(l_graph, local)), report
 
 
 def train_step(params: DualHelixParams, opt: AdamState,
@@ -485,8 +481,11 @@ def embed_corpus(corpus, params: DualHelixParams, batch_size: int = 64) -> np.nd
     through fusion; the line readout, the projection head and the
     edge-pair head are training-only. Rows equal
     `encode_batch(...).graph_repr` bit for bit, and batch composition
-    cannot change them.
+    cannot change them. A `batch_size` that is not an int of at least 1
+    raises ValueError before anything is transformed.
     """
+    if type(batch_size) is not int or batch_size < 1:  # a bool is an int to isinstance
+        raise ValueError(f"batch_size must be an int of at least 1, got {reprlib.repr(batch_size)}")
     if not corpus:
         return np.zeros((0, params.config.hidden_dim))
     pairs = transform_corpus(corpus)

@@ -25,6 +25,7 @@ from linecontrast.gradcheck import (
     run_gradcheck,
 )
 from linecontrast.graphs import to_line_graph
+from linecontrast.losses import local_losses
 from linecontrast.pipeline import Batch, compute_step_losses, desk_train_config
 from linecontrast.synth import random_molecular_graph
 
@@ -433,12 +434,13 @@ class TestGinMlp:
         assert [r.passed for r in run_gradcheck(seed, components=["helix_layer"])] == [False]
 
     def test_desk_step_records_one_node_per_layer_and_helix(self):
-        # 2 x depth helix_layer nodes: 48 tape nodes per training step and
+        # 2 x depth helix_layer nodes: 42 tape nodes per training step and
         # 22 primitive calls per embedding batch, down from 108 and 65 when
         # the neighbour sums took five and six primitives of their own, from
         # 53 when the edge-pair head gathered each endpoint on its own and
-        # concatenated them, and from 51 when each loss scaled its kernel's
-        # sum by 1/k on a node of its own
+        # concatenated them, from 51 when each loss scaled its kernel's sum
+        # by 1/k on a node of its own, and from 48 when the two local losses
+        # normalised their inputs apart and were scaled and added as two
         cfg = desk_train_config()
         graphs = [random_molecular_graph(i, (6, 24), 4) for i in range(cfg.batch_size)]
         batch = Batch.build([(g, to_line_graph(g)) for g in graphs])
@@ -446,7 +448,7 @@ class TestGinMlp:
         tape = Tape()
         compute_step_losses(batch, encode_batch(batch, params.watched(tape), cfg.encoder),
                             cfg.encoder)
-        assert len(tape._ops) == 48
+        assert len(tape._ops) == 42
         calls = []
         apply = ad._apply
 
@@ -499,8 +501,8 @@ def two_direction_reference(a, b, ids, tau):
 
 
 class TestMaskedXent:
-    """The masked contrastive cross-entropy kernels: group_xent, which
-    masks by group id, and block_xent."""
+    """The masked contrastive cross-entropy kernel group_xent: its cross
+    term masks by group id, its within term reads each row's own group."""
 
     def test_matches_two_direction_reference(self, rng):
         # groups of unequal size, rows not normalised: the kernel's rule
@@ -516,7 +518,7 @@ class TestMaskedXent:
             assert (span < ad.SHARED_SHIFT_SPAN) == shared
             tape = Tape()
             ta, tb = tape.watch(a), tape.watch(b)
-            mean, count = ad.group_xent(ta, tb, ids, 0.5)
+            mean, (_, count), _ = ad.group_xent(ta, tb, ids, 0.5)
             tape.backward(mean)
             want_total, want_count, want_ga, want_gb = two_direction_reference(a, b, ids, 0.5)
             assert count == want_count == 10
@@ -528,29 +530,34 @@ class TestMaskedXent:
 
     def test_no_negatives_anywhere_gives_none(self):
         x = ad.constant(np.eye(3))
-        assert ad.group_xent(x, x, np.array([2, 2, 2]), 0.5) == (None, 0)
+        assert ad.group_xent(x, x, np.array([2, 2, 2]), 0.5) == (None, (0.0, 0), (0.0, 0))
+        # the within term has no anchor when every row is alone in its group
+        assert ad.group_xent(x, x, np.arange(3), 0.5, 0.0, 1.0) == (None, (0.0, 0), (0.0, 0))
 
     def test_group_ids_must_be_sorted(self):
         x = ad.constant(np.eye(3))
         with pytest.raises(ShapeMismatch):
             ad.group_xent(x, x, np.array([0, 1, 0]), 0.5)
 
-    @pytest.mark.parametrize("kernel, layout", [
-        (ad.group_xent, np.arange(3)),
-        (ad.block_xent, np.array([0, 3])),
-    ], ids=["group_xent", "block_xent"])
-    def test_overflowing_scaled_similarity_raises(self, kernel, layout):
+    @pytest.mark.parametrize("ids, weights", [
+        (np.arange(3), (1.0, 0.0)),
+        (np.zeros(3, dtype=int), (0.0, 1.0)),
+    ], ids=["group_xent", "within_term"])
+    def test_overflowing_scaled_similarity_raises(self, ids, weights):
         # s = 16 on the diagonal, so s / tau overflows at tau = 1e-308 while
-        # 1 / tau is finite
+        # 1 / tau is finite; the within term alone reads one group
         x = ad.constant(4.0 * np.eye(3))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFinite, match="similarity"):
-                kernel(x, x, layout, 1e-308)
+                ad.group_xent(x, x, ids, 1e-308, *weights)
 
     def test_block_offsets_must_cover_the_rows(self):
+        # the local losses cut their rows into graphs by offsets, which
+        # must start at 0, end at the row count and never decrease
         x = ad.constant(np.eye(3))
-        with pytest.raises(ShapeMismatch):
-            ad.block_xent(x, x, np.array([0, 2]), 0.5)
+        for offsets in ([0, 2], [1, 3], [0, 2, 1, 3]):
+            with pytest.raises(ShapeMismatch, match="offsets"):
+                local_losses(x, x, np.array(offsets), 0.5, 0.0, 1.0)
 
 
 def flat_adam(arrays, learning_rate=1e-3):

@@ -16,6 +16,7 @@ from linecontrast.losses import (
     combine,
     inter_local,
     intra_local,
+    local_losses,
     nt_xent,
 )
 
@@ -329,6 +330,66 @@ class TestDenseOracle:
         assert intra_local(constant(e), constant(l), np.arange(5), TAU) == (None, 0)
 
 
+class TestFusedLocalLosses:
+    """local_losses: both local losses from one group_xent call, against
+    the dense oracle's alpha * inter + beta * intra in every tiling."""
+
+    @pytest.mark.parametrize("tau", [0.1, 1e-3])
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.3, 2.0)])
+    def test_matches_the_dense_oracle_in_every_tiling(self, rng, monkeypatch, alpha, beta, tau):
+        for _ in range(4):
+            # ragged graphs, one of them or more a single edge
+            sizes = rng.integers(1, 6, size=rng.integers(3, 7))
+            sizes[rng.integers(sizes.size)] = 1
+            offsets = np.concatenate([[0], np.cumsum(sizes)])
+            n = int(offsets[-1])
+            e = rng.standard_normal((n, 5))
+            l = rng.standard_normal((n, 5))
+            ids = np.repeat(np.arange(sizes.size), sizes)
+            same = ids[:, None] == ids[None, :]
+            inter = _dense_oracle(e, l, ~same, tau, both_directions=True)
+            intra = _dense_oracle(e, l, same & ~np.eye(n, dtype=bool), tau, both_directions=False)
+            terms = [(w, t) for w, t in ((alpha, inter), (beta, intra))
+                     if w > 0 and t[0] is not None]
+            want = (sum(w * t[0] for w, t in terms), sum(w * t[2] for w, t in terms),
+                    sum(w * t[3] for w, t in terms))
+            for rows in (1, 3, n):
+                monkeypatch.setattr(ad, "TILE_ENTRIES", rows * n)
+                tape = Tape()
+                te, tl = tape.watch(e), tape.watch(l)
+                loss, (l_inter, k_inter), (l_intra, k_intra) = local_losses(
+                    te, tl, offsets, tau, alpha, beta)
+                tape.backward(loss)
+                assert (k_inter, k_intra) == (inter[1] if alpha else 0, intra[1] if beta else 0)
+                assert abs(l_inter - (inter[0] if alpha else 0.0)) < 1e-12
+                assert abs(l_intra - (intra[0] if beta else 0.0)) < 1e-12
+                assert abs(loss.item() - want[0]) < 1e-12
+                assert np.abs(tape.grad(te) - want[1]).max() < 1e-12
+                assert np.abs(tape.grad(tl) - want[2]).max() < 1e-12
+
+    def test_one_graph_without_the_cross_term_gives_exactly_minus_10(self):
+        # the c06 construction: one graph of two orthonormal edges, every
+        # within term -s_ii / tau + log e^0 = -10
+        h = constant(np.eye(2))
+        loss, inter, intra = local_losses(h, h, np.array([0, 2]), TAU, 0.0, 1.0)
+        assert loss.item() == -10.0
+        assert inter == (0.0, 0) and intra == (-10.0, 2)
+
+    def test_edges_in_one_graph_need_no_cross_term(self, rng):
+        e = constant(rng.standard_normal((3, 4)))
+        l = constant(rng.standard_normal((3, 4)))
+        offsets = np.array([0, 0, 3, 3])  # only the second graph has edges
+        loss, inter, (_, k) = local_losses(e, l, offsets, TAU, 0.0, 1.0)
+        assert inter == (0.0, 0) and k == 3
+        assert loss.item() == loss_value(intra_local, e, l, offsets, TAU)[0]
+        with pytest.raises(BatchTooSmall, match="got 1"):
+            local_losses(e, l, offsets, TAU, 1.0, 1.0)
+
+    def test_zero_weights_skip_the_kernel(self, rng):
+        e = constant(rng.standard_normal((3, 4)))
+        assert local_losses(e, e, np.array([0, 3]), TAU, 0.0, 0.0) == (None, (0.0, 0), (0.0, 0))
+
+
 class TestMonotoneContrast:
     def test_raising_positive_similarity_lowers_the_term(self, rng):
         # a_0 = e_0 and b_0 turns from e_1 towards e_0, so the sweep moves
@@ -344,7 +405,7 @@ class TestMonotoneContrast:
         previous = None
         for pos in (-0.5, 0.0, 0.4, 0.9, 1.0):
             b[0] = [pos, math.sqrt(1.0 - pos * pos), 0.0, 0.0, 0.0]
-            total, count = group_xent(constant(a), constant(b), np.arange(3), TAU)
+            total, (_, count), _ = group_xent(constant(a), constant(b), np.arange(3), TAU)
             assert count == 6  # three row and three column anchors
             if previous is not None:
                 assert total.item() < previous

@@ -703,6 +703,25 @@ class TestEmbedCorpus:
         params = DualHelixParams.initialize(CFG, 0)
         assert embed_corpus([], params).shape == (0, CFG.hidden_dim)
 
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "4", None])
+    def test_bad_batch_size_is_refused_before_the_transform(self, monkeypatch, bad):
+        # 0 used to fail in range() and -3 in concatenate, both after the
+        # whole corpus was transformed; 2.5 failed with a TypeError
+        params = DualHelixParams.initialize(CFG, 0)
+        transformed = []
+        monkeypatch.setattr(pipeline, "transform_corpus", transformed.append)
+        for corpus in (small_corpus(3), []):
+            with pytest.raises(ValueError, match=r"^batch_size must be an int of at least 1, "
+                                                 r"got "):
+                embed_corpus(corpus, params, batch_size=bad)
+        assert transformed == []
+
+    def test_batch_size_one_embeds_each_graph_alone(self):
+        corpus = small_corpus(3, seed=71)
+        params = DualHelixParams.initialize(CFG, 2)
+        assert np.allclose(embed_corpus(corpus, params, batch_size=1),
+                           embed_corpus(corpus, params), atol=1e-12)
+
     @staticmethod
     def _edge_case_corpus():
         # node 3 of the second graph is isolated; the third has one edge
@@ -801,6 +820,19 @@ class TestPresets:
         assert cfg.batch_size == 256 and cfg.epochs == 100
         assert cfg.encoder.hidden_dim == 300 and cfg.encoder.depth == 5
         assert cfg.encoder.tau == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("epochs", 0), ("epochs", 2.0), ("epochs", True), ("epochs", "3"),
+        ("batch_size", 1), ("batch_size", 2.5), ("batch_size", True),
+        ("seed", -1), ("seed", 1.5), ("seed", False), ("seed", None),
+    ])
+    def test_integer_fields_take_only_ints(self, name, bad):
+        # a float, a bool or a string used to pass and fail later, deep in
+        # pretrain
+        minimum = {"epochs": 1, "batch_size": 2, "seed": 0}[name]
+        with pytest.raises(ValueError) as err:
+            TrainConfig(**{name: bad})
+        assert str(err.value) == f"{name} must be an int of at least {minimum}, got {bad!r}"
 
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
